@@ -7,12 +7,12 @@
 //   --mode=compose    phases 2+3 from a table CSV -> streamed PGM mosaic
 //   --mode=all        all three in sequence (default)
 //
+// --table and --output default to table.csv and mosaic.pgm inside --dir.
 // Example round trip:
 //   stitch_cli --mode=generate --dir=/tmp/scan --rows=6 --cols=8
-//   stitch_cli --mode=stitch   --dir=/tmp/scan --rows=6 --cols=8 \
-//              --table=/tmp/scan/table.csv --backend=pipelined-gpu --gpus=2
-//   stitch_cli --mode=compose  --dir=/tmp/scan --rows=6 --cols=8 \
-//              --table=/tmp/scan/table.csv --output=/tmp/scan/mosaic.pgm
+//   stitch_cli --mode=stitch   --dir=/tmp/scan --rows=6 --cols=8
+//              --backend=pipelined-gpu --gpus=2
+//   stitch_cli --mode=compose  --dir=/tmp/scan --rows=6 --cols=8
 #include <cstdio>
 
 #include "common/cli.hpp"
@@ -30,6 +30,18 @@
 using namespace hs;
 
 namespace {
+
+/// --table, or table.csv inside --dir when it is unset.
+std::string table_path(const CliParser& cli) {
+  const std::string& table = cli.get("table");
+  return table.empty() ? cli.get("dir") + "/table.csv" : table;
+}
+
+/// --output, or mosaic.pgm inside --dir when it is unset.
+std::string output_path(const CliParser& cli) {
+  const std::string& output = cli.get("output");
+  return output.empty() ? cli.get("dir") + "/mosaic.pgm" : output;
+}
 
 img::TileGridDataset dataset_from(const CliParser& cli) {
   img::TileGridDataset dataset(cli.get("dir"), cli.get("pattern"),
@@ -95,8 +107,8 @@ int run_stitch_journaled(const CliParser& cli) {
     std::printf("phase 1 [journaled]: %s over %zu pairs\n",
                 format_duration(stopwatch.seconds()).c_str(),
                 provider.layout().pair_count());
-    stitch::write_table_csv(cli.get("table"), result.table);
-    std::printf("wrote displacement table: %s\n", cli.get("table").c_str());
+    stitch::write_table_csv(table_path(cli), result.table);
+    std::printf("wrote displacement table: %s\n", table_path(cli).c_str());
   }
   return 0;
 }
@@ -124,8 +136,8 @@ int run_stitch(const CliParser& cli) {
               static_cast<unsigned long long>(result.ops.tile_reads),
               static_cast<unsigned long long>(result.ops.forward_ffts),
               result.peak_live_transforms);
-  stitch::write_table_csv(cli.get("table"), result.table);
-  std::printf("wrote displacement table: %s\n", cli.get("table").c_str());
+  stitch::write_table_csv(table_path(cli), result.table);
+  std::printf("wrote displacement table: %s\n", table_path(cli).c_str());
   if (recorder.enabled()) {
     recorder.write_chrome_json(cli.get("trace"));
     std::printf("wrote execution trace: %s\n", cli.get("trace").c_str());
@@ -135,7 +147,7 @@ int run_stitch(const CliParser& cli) {
 
 int run_compose(const CliParser& cli) {
   stitch::DatasetTileProvider provider(dataset_from(cli));
-  const auto table = stitch::read_table_csv(cli.get("table"));
+  const auto table = stitch::read_table_csv(table_path(cli));
   HS_REQUIRE(table.layout.rows == provider.layout().rows &&
                  table.layout.cols == provider.layout().cols,
              "table grid does not match dataset grid");
@@ -149,9 +161,9 @@ int run_compose(const CliParser& cli) {
 
   Stopwatch stopwatch;
   const auto stats = compose::compose_mosaic_to_pgm(
-      provider, positions, compose::BlendMode::kLinear, cli.get("output"));
+      provider, positions, compose::BlendMode::kLinear, output_path(cli));
   std::printf("phase 3 (streamed): %zu x %zu mosaic -> %s in %s\n",
-              stats.width, stats.height, cli.get("output").c_str(),
+              stats.width, stats.height, output_path(cli).c_str(),
               format_duration(stopwatch.seconds()).c_str());
   return 0;
 }
@@ -168,11 +180,12 @@ int main(int argc, char** argv) {
   stitch::register_stitch_flags(cli, defaults);
   stitch::register_deadline_flag(cli);
   stitch::register_grid_flags(cli);
-  cli.add_flag("table", "displacement table CSV path",
-               "stitch_cli_data/table.csv");
+  cli.add_flag("table", "displacement table CSV path (default <dir>/table.csv)",
+               "");
   cli.add_flag("phase2", "mst | least-squares", "mst");
-  cli.add_flag("output", "mosaic output (16-bit PGM, streamed)",
-               "stitch_cli_data/mosaic.pgm");
+  cli.add_flag("output",
+               "mosaic output, 16-bit PGM, streamed (default <dir>/mosaic.pgm)",
+               "");
   cli.add_flag("trace", "write chrome://tracing JSON here (stitch mode)", "");
   stitch::register_journal_flags(cli);
   stitch::register_metrics_flags(cli);

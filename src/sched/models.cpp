@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "imgio/grid.hpp"
+#include "stitch/traversal.hpp"
 
 namespace hs::sched {
 
@@ -185,7 +186,7 @@ ModelResult model_pipelined_gpu(const ModelConfig& config,
 
   struct GpuResources {
     ResourceId reader, copier, engine;
-    std::size_t row_begin, row_end;
+    stitch::RowBand rows;
   };
   std::vector<GpuResources> resources;
   for (std::size_t g = 0; g < gpus; ++g) {
@@ -194,7 +195,7 @@ ModelResult model_pipelined_gpu(const ModelConfig& config,
         sim.add_resource(prefix + ".read", 1),
         sim.add_resource(prefix + ".copy", 1),
         sim.add_resource(prefix + ".kernels", kernel_slots),
-        g * layout.rows / gpus, (g + 1) * layout.rows / gpus});
+        stitch::row_band(layout.rows, g, gpus)});
   }
 
   // fft_done[g][tile] = task after which the transform is available on g.
@@ -206,8 +207,8 @@ ModelResult model_pipelined_gpu(const ModelConfig& config,
   for (std::size_t g = 0; g < gpus; ++g) {
     const auto& res = resources[g];
     const std::size_t local_begin =
-        (!use_p2p && g > 0) ? res.row_begin - 1 : res.row_begin;
-    for (std::size_t r = local_begin; r < res.row_end; ++r) {
+        (!use_p2p && g > 0) ? res.rows.begin - 1 : res.rows.begin;
+    for (std::size_t r = local_begin; r < res.rows.end; ++r) {
       for (std::size_t c = 0; c < layout.cols; ++c) {
         const TaskId read =
             sim.add_task("read", res.reader, op.read + op.convert);
@@ -222,7 +223,7 @@ ModelResult model_pipelined_gpu(const ModelConfig& config,
   if (use_p2p) {
     for (std::size_t g = 1; g < gpus; ++g) {
       const auto& res = resources[g];
-      const std::size_t halo_row = res.row_begin - 1;
+      const std::size_t halo_row = res.rows.begin - 1;
       for (std::size_t c = 0; c < layout.cols; ++c) {
         const std::size_t index = layout.index_of({halo_row, c});
         fft_done[g][index] = sim.add_task(
@@ -235,7 +236,7 @@ ModelResult model_pipelined_gpu(const ModelConfig& config,
     const std::size_t owner_row = std::max(pair.a, pair.b) / layout.cols;
     for (std::size_t g = 0; g < gpus; ++g) {
       const auto& res = resources[g];
-      if (owner_row < res.row_begin || owner_row >= res.row_end) continue;
+      if (owner_row < res.rows.begin || owner_row >= res.rows.end) continue;
       const TaskId ncc =
           sim.add_task("ncc", res.engine, op.gpu_ncc,
                        {fft_done[g][pair.a], fft_done[g][pair.b]});

@@ -41,9 +41,10 @@ JobFootprint predict_footprint(const stitch::StitchRequest& request,
   JobFootprint f;
   f.bytes = request.predicted_pool_bytes();
 
-  // Each backend name now denotes a ResourceSet preset over the unified
-  // HybridScheduler loop (stitch/scheduler.hpp); the cost shapes below
-  // model those presets' executor mixes, not separate implementations.
+  // Each backend name denotes a ResourceSet preset over the unified
+  // scheduler loop, stitch(ResourceSet) (stitch/scheduler.hpp); the cost
+  // shapes below model those presets' executor mixes, not separate
+  // implementations.
   switch (request.backend) {
     case stitch::Backend::kNaivePairwise:
       // Both tiles re-read and re-transformed for every pair.

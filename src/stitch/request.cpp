@@ -14,8 +14,8 @@
 #include "common/simd.hpp"
 #include "common/stopwatch.hpp"
 #include "fault/plan.hpp"
-#include "stitch/impl.hpp"
 #include "stitch/ledger.hpp"
+#include "stitch/scheduler.hpp"
 #include "stitch/shared_cache.hpp"
 
 namespace hs::stitch {
@@ -38,7 +38,7 @@ bool is_pipelined(Backend backend) {
          backend == Backend::kPipelinedGpu;
 }
 
-/// Mirrors impl_pipelined_gpu's partition: contiguous row bands, one per
+/// Mirrors the pipelined-GPU partition: contiguous row bands, one per
 /// effective GPU, a halo row prepended to every band but the first.
 std::vector<img::GridLayout> gpu_bands(const img::GridLayout& layout,
                                        std::size_t gpu_count) {
@@ -47,10 +47,9 @@ std::vector<img::GridLayout> gpu_bands(const img::GridLayout& layout,
   std::vector<img::GridLayout> bands;
   bands.reserve(gpus);
   for (std::size_t g = 0; g < gpus; ++g) {
-    const std::size_t row_begin = g * layout.rows / gpus;
-    const std::size_t row_end = (g + 1) * layout.rows / gpus;
-    bands.push_back(
-        img::GridLayout{row_end - row_begin + (g > 0 ? 1 : 0), layout.cols});
+    const RowBand rows = row_band(layout.rows, g, gpus);
+    bands.push_back(img::GridLayout{rows.end - rows.begin + (g > 0 ? 1 : 0),
+                                    layout.cols});
   }
   return bands;
 }
@@ -107,7 +106,7 @@ void StitchRequest::validate() const {
              " grid; need > " + num(ws));
   }
   if (backend == Backend::kSimpleGpu) {
-    const std::size_t pool = o.pool_buffers > 0 ? o.pool_buffers : ws + 4;
+    const std::size_t pool = pool_size(layout, o.traversal, o.pool_buffers);
     if (pool < ws + 2) {
       fail("pool_buffers",
            "pool of " + num(pool) + " cannot cover traversal " +
@@ -244,13 +243,13 @@ std::size_t pool_bytes_for(const StitchRequest& request, Backend backend) {
     }
     case Backend::kPipelinedCpu: {
       const std::size_t slots =
-          options.pool_buffers > 0 ? options.pool_buffers : ws + 4;
+          pool_size(layout, options.traversal, options.pool_buffers);
       return slots * (transform_bytes + tile_bytes) +
              options.threads * transform_bytes;
     }
     case Backend::kSimpleGpu: {
       const std::size_t pool =
-          options.pool_buffers > 0 ? options.pool_buffers : ws + 4;
+          pool_size(layout, options.traversal, options.pool_buffers);
       // Device pool + host tiles pinned alongside + staging + reduce.
       return pool * (transform_bytes + tile_bytes) + 2 * transform_bytes;
     }
@@ -258,10 +257,8 @@ std::size_t pool_bytes_for(const StitchRequest& request, Backend backend) {
       std::size_t total = 0;
       for (const img::GridLayout& band :
            gpu_bands(layout, options.gpu_count)) {
-        const std::size_t band_ws =
-            traversal_working_set(band, options.traversal);
         const std::size_t pool =
-            options.pool_buffers > 0 ? options.pool_buffers : band_ws + 4;
+            pool_size(band, options.traversal, options.pool_buffers);
         total += (pool + 2) * transform_bytes  // forward pool + NCC pool
                  + pool * tile_bytes           // host pixels for the CCFs
                  + 8 * tile_bytes;             // bounded reader queue
@@ -270,25 +267,6 @@ std::size_t pool_bytes_for(const StitchRequest& request, Backend backend) {
     }
   }
   return 0;
-}
-
-StitchResult dispatch(Backend backend, const TileProvider& provider,
-                      const StitchOptions& options) {
-  switch (backend) {
-    case Backend::kNaivePairwise:
-      return impl::stitch_naive(provider, options);
-    case Backend::kSimpleCpu:
-      return impl::stitch_simple_cpu(provider, options);
-    case Backend::kMtCpu:
-      return impl::stitch_mt_cpu(provider, options);
-    case Backend::kPipelinedCpu:
-      return impl::stitch_pipelined_cpu(provider, options);
-    case Backend::kSimpleGpu:
-      return impl::stitch_simple_gpu(provider, options);
-    case Backend::kPipelinedGpu:
-      return impl::stitch_pipelined_gpu(provider, options);
-  }
-  throw InvalidArgument("backend: unknown value");
 }
 
 /// Computed (not merely settled) pairs in a table.
@@ -427,8 +405,8 @@ StitchResult stitch(const StitchRequest& request) {
     attempt_options.warm_start = warm;
     attempt_options.ledger = ledger;
     try {
-      result = dispatch(chain[attempt], *provider, attempt_options);
-      result.backend_used = backend_name(chain[attempt]);
+      result = stitch(ResourceSet::for_backend(chain[attempt], attempt_options),
+                      *provider, attempt_options);
       pairs_reused = warm != nullptr ? computed_pairs(*warm) : 0;
       break;
     } catch (const Error& e) {

@@ -1,12 +1,16 @@
-// HybridScheduler: the one dispatch loop behind all six legacy backends
+// The hybrid scheduler: the one dispatch loop behind all six legacy backends
 // (see scheduler.hpp for the design rationale). Layout of this file:
 //
 //   WorkPool            lanes of pair tasks + the claim/steal protocol
+//   pair helpers        pair enumeration, the naive host pair, table writes
 //   run_cpu             CPU-only shapes (naive, simple-, mt-, pipelined-cpu)
 //   run_gpu_sync        the synchronous single-stream Simple-GPU shape
-//   run_gpu_async       pipelined GPU shapes, incl. hybrid CPU+GPU bands,
-//                       stolen-pair execution, and batched dispatch
-//   ResourceSet / HybridScheduler / stitch() / impl:: forwarders
+//   run_gpu_async       pipelined GPU shapes: per GPU one read, copy, fft,
+//                       bookkeeping and displacement stage whose copy/fft/
+//                       displacement bodies issue groups of up to k items
+//                       (k = 1 is per-item dispatch), plus the hybrid CPU
+//                       band and stolen-pair execution
+//   ResourceSet / stitch()
 #include "stitch/scheduler.hpp"
 
 #include <algorithm>
@@ -18,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -31,7 +36,6 @@
 #include "metrics/wellknown.hpp"
 #include "pipeline/pipeline.hpp"
 #include "stitch/ccf.hpp"
-#include "stitch/impl.hpp"
 #include "stitch/ledger.hpp"
 #include "stitch/pciam.hpp"
 #include "stitch/transform_cache.hpp"
@@ -218,6 +222,24 @@ class WorkPool {
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
+// ---------------------------------------------------------------------------
+// Pair helpers shared by every shape.
+// ---------------------------------------------------------------------------
+
+/// Appends the pairs visiting `pos` closes — west, then north — minus those
+/// a warm start already settled.
+void append_pairs_of(const img::GridLayout& layout, img::TilePos pos,
+                     const WarmFilter& warm, std::vector<PairTask>& pairs) {
+  if (layout.has_west(pos) && !warm.skip_west(pos)) {
+    pairs.push_back(
+        PairTask{img::TilePos{pos.row, pos.col - 1}, pos, /*is_west=*/true});
+  }
+  if (layout.has_north(pos) && !warm.skip_north(pos)) {
+    pairs.push_back(
+        PairTask{img::TilePos{pos.row - 1, pos.col}, pos, /*is_west=*/false});
+  }
+}
+
 /// All remaining pairs in the traversal's closure order: visiting a tile
 /// closes its west then north pair — the order every sequential backend
 /// has always used, so a single lane replayed by one executor reproduces
@@ -227,16 +249,43 @@ std::vector<PairTask> pairs_in_closure_order(const img::GridLayout& layout,
                                              const WarmFilter& warm) {
   std::vector<PairTask> pairs;
   for (const img::TilePos pos : traversal_order(layout, traversal)) {
-    if (layout.has_west(pos) && !warm.skip_west(pos)) {
-      pairs.push_back(
-          PairTask{img::TilePos{pos.row, pos.col - 1}, pos, /*is_west=*/true});
-    }
-    if (layout.has_north(pos) && !warm.skip_north(pos)) {
-      pairs.push_back(PairTask{img::TilePos{pos.row - 1, pos.col}, pos,
-                               /*is_west=*/false});
+    append_pairs_of(layout, pos, warm, pairs);
+  }
+  return pairs;
+}
+
+/// The remaining pairs of a row band, row-major. A pair belongs to the band
+/// of its moved (south/east) tile, so the north pairs of the band's first
+/// row reach one row above it.
+std::vector<PairTask> pairs_in_rows(const img::GridLayout& layout,
+                                    RowBand rows, const WarmFilter& warm) {
+  std::vector<PairTask> pairs;
+  for (std::size_t r = rows.begin; r < rows.end; ++r) {
+    for (std::size_t c = 0; c < layout.cols; ++c) {
+      append_pairs_of(layout, img::TilePos{r, c}, warm, pairs);
     }
   }
   return pairs;
+}
+
+/// A pair computed naive-style (the Fiji baseline): both tiles re-read and
+/// re-transformed for this pair alone, no reuse.
+Translation naive_pair(const TileProvider& provider, const PairTask& task,
+                       const FftPipeline& fftp, PciamScratch& scratch,
+                       OpCountsAtomic& counts, const StitchOptions& options) {
+  const img::ImageU16 a = provider.load(task.reference);
+  const img::ImageU16 b = provider.load(task.moved);
+  counts.bump(counts.tile_reads, 2);
+  return pciam_full(a, b, fftp, scratch, &counts, options.peak_candidates,
+                    options.min_overlap_px);
+}
+
+/// Writes a finished pair into the table and reports it to the ledger and
+/// progress counter.
+void record_pair(DisplacementTable& table, const StitchOptions& options,
+                 img::TilePos moved, bool is_west, const Translation& t) {
+  (is_west ? table.west_of(moved) : table.north_of(moved)) = t;
+  note_pair_result(options, moved, is_west, t);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,69 +332,48 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
   }
   work.close(lane);
 
-  DisplacementTable* table = &result.table;
   auto process_pair = [&](const PairTask& task, PciamScratch& scratch) {
     HS_METRIC_TIMER(pair_latency);
     throw_if_cancelled(options);
     Translation t;
-    if (cache != nullptr) {
+    if (cache == nullptr) {
+      t = naive_pair(provider, task, fftp, scratch, counts, options);
+    } else {
+      // Cross-job memoization: a pair whose tile contents and PCIAM
+      // parameters match an earlier job replays the cached displacement
+      // without touching the FFT. PCIAM is a pure function of tile bytes
+      // and parameters, so the replayed Translation is bit-identical to a
+      // recomputation. On a hit the tiles are released without ever
+      // computing — release() tolerates never-computed entries.
+      std::optional<PairKey> key;
       if (shared_store != nullptr) {
-        // Cross-job memoization: a pair whose tile contents and PCIAM
-        // parameters match an earlier job replays the cached displacement
-        // without touching the FFT. PCIAM is a pure function of tile bytes
-        // and parameters, so the replayed Translation is bit-identical to a
-        // recomputation. On a hit the tiles are released without ever
-        // computing — release() tolerates never-computed entries.
-        const PairKey key{
-            cache->digest(task.reference),
-            cache->digest(task.moved),
-            static_cast<std::uint32_t>(fftp.height),
-            static_cast<std::uint32_t>(fftp.width),
-            fftp.real_fft,
-            shared_tier,
-            static_cast<std::uint32_t>(options.peak_candidates),
-            options.min_overlap_px};
-        if (shared_store->find_pair(key, &t)) {
-          cache->release(task.reference);
-          cache->release(task.moved);
-        } else {
-          const fft::Complex* fft_ref = cache->transform(task.reference);
-          const fft::Complex* fft_mov = cache->transform(task.moved);
-          t = pciam_from_spectra(
-              fft_ref, fft_mov, cache->tile(task.reference),
-              cache->tile(task.moved), fftp, scratch, &counts,
-              options.peak_candidates, options.min_overlap_px);
-          cache->release(task.reference);
-          cache->release(task.moved);
-          shared_store->insert_pair(key, t, cache->shared().tenant,
-                                    cache->shared().tenant_quota_bytes,
-                                    cache->shared().spill);
-        }
-      } else {
+        key = PairKey{cache->digest(task.reference),
+                      cache->digest(task.moved),
+                      static_cast<std::uint32_t>(fftp.height),
+                      static_cast<std::uint32_t>(fftp.width),
+                      fftp.real_fft,
+                      shared_tier,
+                      static_cast<std::uint32_t>(options.peak_candidates),
+                      options.min_overlap_px};
+      }
+      const bool hit = key && shared_store->find_pair(*key, &t);
+      if (!hit) {
         const fft::Complex* fft_ref = cache->transform(task.reference);
         const fft::Complex* fft_mov = cache->transform(task.moved);
         t = pciam_from_spectra(
             fft_ref, fft_mov, cache->tile(task.reference),
             cache->tile(task.moved), fftp, scratch, &counts,
             options.peak_candidates, options.min_overlap_px);
-        cache->release(task.reference);
-        cache->release(task.moved);
       }
-    } else {
-      // Naive (Fiji-style) shape: both tiles re-read and re-transformed for
-      // every pair, no reuse.
-      const img::ImageU16 a = provider.load(task.reference);
-      const img::ImageU16 b = provider.load(task.moved);
-      counts.bump(counts.tile_reads, 2);
-      t = pciam_full(a, b, fftp, scratch, &counts, options.peak_candidates,
-                     options.min_overlap_px);
+      cache->release(task.reference);
+      cache->release(task.moved);
+      if (key && !hit) {
+        shared_store->insert_pair(*key, t, cache->shared().tenant,
+                                  cache->shared().tenant_quota_bytes,
+                                  cache->shared().spill);
+      }
     }
-    if (task.is_west) {
-      table->west_of(task.moved) = t;
-    } else {
-      table->north_of(task.moved) = t;
-    }
-    note_pair_result(options, task.moved, task.is_west, t);
+    record_pair(result.table, options, task.moved, task.is_west, t);
   };
 
   if (rs.cpu_workers <= 1 && rs.prefetch_threads == 0) {
@@ -366,9 +394,7 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
     // an optional prefetch stage (the Pipelined-CPU reader) warming the
     // cache ahead of the workers under a fixed in-flight budget.
     const std::size_t slots =
-        options.pool_buffers > 0
-            ? options.pool_buffers
-            : traversal_working_set(layout, options.traversal) + 4;
+        pool_size(layout, options.traversal, options.pool_buffers);
     std::vector<img::TilePos> prefetch_list;
     if (rs.prefetch_threads > 0) {
       // Tiles whose every pair a warm start settled have degree 0: they are
@@ -399,12 +425,11 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
             if (pipeline.cancelled()) return;
             std::this_thread::sleep_for(std::chrono::microseconds(200));
           }
+          std::optional<hs::trace::Recorder::Scoped> span;
           if (recorder != nullptr) {
-            auto span = recorder->scoped("cpu.read", "prefetch");
-            cache->prefetch(prefetch_list[i]);
-          } else {
-            cache->prefetch(prefetch_list[i]);
+            span.emplace(*recorder, "cpu.read", "prefetch");
           }
+          cache->prefetch(prefetch_list[i]);
         }
       });
     }
@@ -469,11 +494,9 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
 
   // Pool sizing (working set + NCC buffer) is enforced up front by
   // StitchRequest::validate().
-  const std::size_t pool_size =
-      options.pool_buffers > 0
-          ? options.pool_buffers
-          : traversal_working_set(layout, options.traversal) + 4;
-  vgpu::BufferPool pool(device, pool_size, buffer_bytes);
+  vgpu::BufferPool pool(
+      device, pool_size(layout, options.traversal, options.pool_buffers),
+      buffer_bytes);
   const std::size_t peaks_k = std::max<std::size_t>(1, options.peak_candidates);
   vgpu::DeviceBuffer reduce_out =
       device.alloc(peaks_k * sizeof(vgpu::MaxAbsResult));
@@ -556,12 +579,11 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
 
   metrics::Histogram& pair_latency =
       metrics::wellknown::pair_latency_us(rs.label);
-  auto run_pair = [&](img::TilePos ref_pos, img::TilePos mov_pos, bool is_west,
-                      Translation& out) {
+  auto run_pair = [&](const PairTask& task) {
     HS_METRIC_TIMER(pair_latency);
     throw_if_cancelled(options);
-    TileState& ref = ensure_tile(ref_pos);
-    TileState& mov = ensure_tile(mov_pos);
+    TileState& ref = ensure_tile(task.reference);
+    TileState& mov = ensure_tile(task.moved);
 
     vgpu::PooledBuffer ncc = pool.acquire();
     const fft::Complex* fa = ref.transform.as<fft::Complex>();
@@ -613,12 +635,12 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
       if (peak_result.value >= 0.0) indices.push_back(peak_result.index);
     }
     counts.bump(counts.ccf_evaluations, 4 * indices.size());
-    out = disambiguate_peaks(ref.tile, mov.tile, indices, w,
-                             options.min_overlap_px);
+    const Translation t = disambiguate_peaks(ref.tile, mov.tile, indices, w,
+                                             options.min_overlap_px);
 
-    release_tile(ref_pos);
-    release_tile(mov_pos);
-    note_pair_result(options, mov_pos, is_west, out);
+    release_tile(task.reference);
+    release_tile(task.moved);
+    record_pair(result.table, options, task.moved, task.is_west, t);
   };
 
   // The single "gpu0" lane seeded in closure order and claimed one task at a
@@ -638,11 +660,7 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     WorkPool::Claim claim = work.claim(lane, 1);
     if (claim.tasks.empty()) break;
     busy.set(1);
-    for (const PairTask& task : claim.tasks) {
-      Translation& out = task.is_west ? result.table.west_of(task.moved)
-                                      : result.table.north_of(task.moved);
-      run_pair(task.reference, task.moved, task.is_west, out);
-    }
+    for (const PairTask& task : claim.tasks) run_pair(task);
     busy.set(0);
   }
 
@@ -656,12 +674,6 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
 // over the shared work pool, plus the hybrid CPU band, stolen-pair
 // execution, and batched dispatch.
 // ---------------------------------------------------------------------------
-
-struct PairRef {
-  img::TilePos reference;
-  img::TilePos moved;
-  bool is_west = false;
-};
 
 /// Work item flowing through stages 1-3 of one GPU pipeline. A null tile
 /// marks a halo position to be pulled via peer-to-peer copy instead of
@@ -747,13 +759,14 @@ struct GpuPipeline {
   std::unique_ptr<vgpu::Stream> disp_stream;
   std::unique_ptr<vgpu::BufferPool> pool;      // forward-transform buffers
   std::unique_ptr<vgpu::BufferPool> ncc_pool;  // backward (NCC) buffers
+  // The device's FFT plans, one pair per spectrum mode.
   std::unique_ptr<vgpu::VFftPlan2d> forward;   // complex mode
   std::unique_ptr<vgpu::VFftPlan2d> inverse;   // complex mode
   std::unique_ptr<vgpu::VFftPlanR2c2d> forward_r2c;  // real-FFT mode
   std::unique_ptr<vgpu::VFftPlanC2r2d> inverse_c2r;  // real-FFT mode
 
   std::vector<img::TilePos> tiles_to_read;     // band (+ halo unless p2p)
-  std::vector<PairRef> owned_pairs;
+  std::vector<PairTask> owned_pairs;
   std::unordered_set<std::size_t> halo_pull;   // p2p: pulled from gpu id-1
   std::unordered_set<std::size_t> halo_export; // p2p: published to gpu id+1
 
@@ -772,6 +785,23 @@ struct GpuPipeline {
 
   std::atomic<std::size_t> live{0};
   std::atomic<std::size_t> peak{0};
+
+  /// In-place forward/inverse transforms on the calling stream worker,
+  /// under the device's FFT lock rule.
+  void forward_inplace(fft::Complex* data) const {
+    if (forward_r2c != nullptr) {
+      forward_r2c->execute_inplace_padded(data);
+    } else {
+      forward->execute_inplace(data);
+    }
+  }
+  void inverse_inplace(fft::Complex* data) const {
+    if (inverse_c2r != nullptr) {
+      inverse_c2r->execute_inplace_half(data);
+    } else {
+      inverse->execute_inplace(data);
+    }
+  }
 
   void close_ready_when_done() {
     if (ready_producers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -803,6 +833,51 @@ void release_tile(GpuPipeline* gpu, const img::GridLayout& layout,
   }
 }
 
+/// A claimed pair's inputs as resident on one GPU: both device spectra and
+/// both host tiles.
+struct PairInputs {
+  PairTask pair;
+  vgpu::PairDispJob spectra;
+  std::shared_ptr<const img::ImageU16> reference;
+  std::shared_ptr<const img::ImageU16> moved;
+};
+
+std::vector<PairInputs> resident_inputs(GpuPipeline* gpu,
+                                        const img::GridLayout& layout,
+                                        const std::vector<PairTask>& pairs) {
+  std::vector<PairInputs> inputs;
+  inputs.reserve(pairs.size());
+  std::lock_guard<std::mutex> lock(gpu->state_mutex);
+  for (const PairTask& pair : pairs) {
+    const GpuTileState& a = gpu->states.at(layout.index_of(pair.reference));
+    const GpuTileState& b = gpu->states.at(layout.index_of(pair.moved));
+    inputs.push_back(PairInputs{pair,
+                                vgpu::PairDispJob{
+                                    a.buffer.as<const fft::Complex>(),
+                                    b.buffer.as<const fft::Complex>()},
+                                a.tile, b.tile});
+  }
+  return inputs;
+}
+
+/// Completes a pair's device work, on the displacement stream after its
+/// reduction: hands the peaks and host tiles to the CCF stage, then drops
+/// the pair's references on both tiles.
+void finish_pair(GpuPipeline* gpu, const img::GridLayout& layout,
+                 PairInputs& in, const std::vector<vgpu::MaxAbsResult>& peaks,
+                 pipe::BoundedQueue<CcfTask>& q_ccf) {
+  CcfTask task;
+  task.reference = std::move(in.reference);
+  task.moved = std::move(in.moved);
+  task.moved_pos = in.pair.moved;
+  task.is_west = in.pair.is_west;
+  task.peak_indices.reserve(peaks.size());
+  for (const auto& peak : peaks) task.peak_indices.push_back(peak.index);
+  q_ccf.push(std::move(task));
+  release_tile(gpu, layout, in.pair.reference);
+  release_tile(gpu, layout, in.pair.moved);
+}
+
 StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
                            const StitchOptions& options) {
   const img::GridLayout layout = provider.layout();
@@ -829,36 +904,26 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   // identical to the legacy per-GPU split.
   const bool cpu_band_exists = rs.cpu_workers > 0 && layout.rows > gpu_count;
   const std::size_t units = gpu_count + (cpu_band_exists ? 1 : 0);
-  const std::size_t batch_k = std::max<std::size_t>(1, rs.gpu_batch_pairs);
-  // Tile-side grouping shares one upload/FFT enqueue across k tiles; the
-  // p2p halo protocol needs the per-tile fft/copy interleaving, so grouping
-  // applies to the non-p2p path only.
-  const bool batch_tiles = batch_k > 1 && !use_p2p;
+  // Group sizes: the displacement stage claims up to pair_k pairs per
+  // launch, the copy and fft stages up to tile_k tiles per command. The p2p
+  // halo protocol needs the per-tile copy/fft interleaving, so under p2p
+  // tiles travel alone. A group size of 1 is per-item dispatch, under the
+  // per-item labels.
+  const std::size_t pair_k = std::max<std::size_t>(1, rs.gpu_batch_pairs);
+  const std::size_t tile_k = use_p2p ? 1 : pair_k;
+  const std::string group_suffix = tile_k > 1 ? "_batched" : "";
+  const std::string h2d_label = "memcpy_h2d" + group_suffix;
+  const std::string fft_label =
+      (real_fft ? "fft2d_r2c" : "fft2d") + group_suffix;
+  const std::string announce_label = "announce" + group_suffix;
+  const char* ifft_label = real_fft ? "ifft2d_c2r" : "ifft2d";
 
   // Host-side FFT pipeline for pairs executed off the GPU fast path: CPU
-  // band workers and stolen pairs that find the device pools dry. Built
-  // lazily — plan setup is not free and pure-GPU runs never touch it.
+  // band workers and stolen pairs. Built lazily — plan setup is not free
+  // and pure-GPU runs never touch it.
   FftPipeline host_fftp;
   if (rs.cpu_workers > 0 || rs.steal_threshold > 0) {
     host_fftp = make_fft_pipeline(h, w, options.rigor, options.use_real_fft);
-  }
-  // Host plans for grouped (batched) launches: the VFft wrappers enqueue
-  // their own commands, so grouped commands execute the PlanCache plans
-  // directly under the device's fft mutex.
-  std::shared_ptr<const fft::PlanR2c2d> batch_r2c;
-  std::shared_ptr<const fft::PlanC2r2d> batch_c2r;
-  std::shared_ptr<const fft::Plan2d> batch_fwd;
-  std::shared_ptr<const fft::Plan2d> batch_inv;
-  if (batch_k > 1) {
-    if (real_fft) {
-      batch_r2c = fft::PlanCache::instance().plan_r2c_2d(h, w, options.rigor);
-      batch_c2r = fft::PlanCache::instance().plan_c2r_2d(h, w, options.rigor);
-    } else {
-      batch_fwd = fft::PlanCache::instance().plan_2d(
-          h, w, fft::Direction::kForward, options.rigor);
-      batch_inv = fft::PlanCache::instance().plan_2d(
-          h, w, fft::Direction::kInverse, options.rigor);
-    }
   }
 
   HaloExchange exchange;
@@ -869,12 +934,11 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   for (std::size_t g = 0; g < gpu_count; ++g) {
     auto gpu = std::make_unique<GpuPipeline>();
     gpu->id = g;
-    const std::size_t row_begin = g * layout.rows / units;
-    const std::size_t row_end = (g + 1) * layout.rows / units;
+    const RowBand rows = row_band(layout.rows, g, units);
 
-    const img::GridLayout band{row_end - row_begin + (g > 0 ? 1 : 0),
+    const img::GridLayout band{rows.end - rows.begin + (g > 0 ? 1 : 0),
                                layout.cols};
-    const std::size_t halo_begin = g > 0 ? row_begin - 1 : row_begin;
+    const std::size_t halo_begin = g > 0 ? rows.begin - 1 : rows.begin;
     // Visit the band in the configured traversal order (shifted into it).
     for (const img::TilePos local : traversal_order(band, options.traversal)) {
       gpu->tiles_to_read.push_back(
@@ -883,32 +947,20 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     // Warm-settled pairs are excluded at partition time: reference counts,
     // the read plan, and the halo sets all derive from owned_pairs, so a
     // warm start shrinks every downstream structure consistently.
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-      for (std::size_t c = 0; c < layout.cols; ++c) {
-        const img::TilePos pos{r, c};
-        if (layout.has_west(pos) && !warm.skip_west(pos)) {
-          gpu->owned_pairs.push_back(PairRef{img::TilePos{r, c - 1}, pos,
-                                             true});
-        }
-        if (layout.has_north(pos) && !warm.skip_north(pos)) {
-          gpu->owned_pairs.push_back(PairRef{img::TilePos{r - 1, c}, pos,
-                                             false});
-        }
-      }
-    }
+    gpu->owned_pairs = pairs_in_rows(layout, rows, warm);
     if (use_p2p) {
       // A halo transform crosses devices only when the consumer's boundary
       // pair still needs computing.
       if (g > 0) {
         for (std::size_t c = 0; c < layout.cols; ++c) {
-          if (warm.skip_north(img::TilePos{row_begin, c})) continue;
-          gpu->halo_pull.insert(layout.index_of({row_begin - 1, c}));
+          if (warm.skip_north(img::TilePos{rows.begin, c})) continue;
+          gpu->halo_pull.insert(layout.index_of({rows.begin - 1, c}));
         }
       }
       if (g + 1 < gpu_count) {
         for (std::size_t c = 0; c < layout.cols; ++c) {
-          if (warm.skip_north(img::TilePos{row_end, c})) continue;
-          gpu->halo_export.insert(layout.index_of({row_end - 1, c}));
+          if (warm.skip_north(img::TilePos{rows.end, c})) continue;
+          gpu->halo_export.insert(layout.index_of({rows.end - 1, c}));
         }
       }
     }
@@ -943,12 +995,9 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
 
     // Per-band pool sizing (pool > band working set) is enforced up front by
     // StitchRequest::validate().
-    const std::size_t pool_size =
-        options.pool_buffers > 0
-            ? options.pool_buffers
-            : traversal_working_set(band, options.traversal) + 4;
-    gpu->pool = std::make_unique<vgpu::BufferPool>(*gpu->device, pool_size,
-                                                   buffer_bytes);
+    gpu->pool = std::make_unique<vgpu::BufferPool>(
+        *gpu->device, pool_size(band, options.traversal, options.pool_buffers),
+        buffer_bytes);
     // Backward-transform buffers are reserved separately so the copier can
     // never starve the displacement stage of working memory (the pool-
     // starvation deadlock a single shared pool invites).
@@ -964,7 +1013,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     // transform, released by the consumer after its p2p copy), then drop
     // any tile no owned pair needs (single-tile grids, or tiles whose every
     // pair a warm start already settled).
-    for (const PairRef& pair : gpu->owned_pairs) {
+    for (const PairTask& pair : gpu->owned_pairs) {
       for (const img::TilePos pos : {pair.reference, pair.moved}) {
         auto [it, inserted] =
             gpu->states.try_emplace(layout.index_of(pos), GpuTileState{});
@@ -981,30 +1030,6 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     gpus.push_back(std::move(gpu));
   }
 
-  // The CPU band: its pairs are seeded (and the lane closed) up front —
-  // they have no device-side dependency chain, so there is nothing to wait
-  // for, and a closed lane is raidable down to zero by idle GPUs.
-  std::vector<PairTask> cpu_pairs;
-  if (cpu_band_exists) {
-    const std::size_t cpu_row_begin = gpu_count * layout.rows / units;
-    for (std::size_t r = cpu_row_begin; r < layout.rows; ++r) {
-      for (std::size_t c = 0; c < layout.cols; ++c) {
-        const img::TilePos pos{r, c};
-        if (layout.has_west(pos) && !warm.skip_west(pos)) {
-          cpu_pairs.push_back(
-              PairTask{img::TilePos{r, c - 1}, pos, /*is_west=*/true});
-        }
-        if (layout.has_north(pos) && !warm.skip_north(pos)) {
-          // North pairs on the band's first row reach into the last GPU
-          // band; the CPU worker loads both tiles itself (naive-style), so
-          // no cross-executor handoff is needed.
-          cpu_pairs.push_back(
-              PairTask{img::TilePos{r - 1, c}, pos, /*is_west=*/false});
-        }
-      }
-    }
-  }
-
   WorkPool work(rs.steal_threshold, options.recorder);
   std::vector<std::size_t> gpu_lane(gpu_count);
   std::vector<GpuPipeline*> lane_owner;  // per lane; nullptr = CPU lane
@@ -1017,7 +1042,19 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   if (rs.cpu_workers > 0) {
     cpu_lane = work.add_lane("cpu", WorkPool::Kind::kCpu);
     lane_owner.push_back(nullptr);
-    for (const PairTask& task : cpu_pairs) work.push(cpu_lane, task);
+    // The CPU band's pairs are seeded (and the lane closed) up front — they
+    // have no device-side dependency chain, so there is nothing to wait
+    // for, and a closed lane is raidable down to zero by idle GPUs. North
+    // pairs on the band's first row reach into the last GPU band; the CPU
+    // worker loads both tiles itself, so no cross-executor handoff is
+    // needed.
+    if (cpu_band_exists) {
+      for (const PairTask& task :
+           pairs_in_rows(layout, row_band(layout.rows, gpu_count, units),
+                         warm)) {
+        work.push(cpu_lane, task);
+      }
+    }
     work.close(cpu_lane);
   }
 
@@ -1025,7 +1062,6 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   q_ccf.instrument("pipelined_gpu.ccf");
   std::atomic<std::size_t> disp_stages_live{gpu_count};
   std::atomic<std::size_t> cpu_worker_ids{0};
-  DisplacementTable* table = &result.table;
   metrics::Histogram& pair_latency =
       metrics::wellknown::pair_latency_us(rs.label);
 
@@ -1041,37 +1077,18 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     HS_METRIC_TIMER(pair_latency);
     throw_if_cancelled(options);
     Translation t;
-    if (victim != nullptr) {
-      const fft::Complex* fa = nullptr;
-      const fft::Complex* fb = nullptr;
-      std::shared_ptr<const img::ImageU16> tile_a, tile_b;
-      {
-        std::lock_guard<std::mutex> lock(victim->state_mutex);
-        GpuTileState& a = victim->states.at(layout.index_of(task.reference));
-        GpuTileState& b = victim->states.at(layout.index_of(task.moved));
-        fa = a.buffer.as<const fft::Complex>();
-        fb = b.buffer.as<const fft::Complex>();
-        tile_a = a.tile;
-        tile_b = b.tile;
-      }
-      t = pciam_from_spectra(fa, fb, *tile_a, *tile_b, host_fftp, scratch,
+    if (victim == nullptr) {
+      t = naive_pair(provider, task, host_fftp, scratch, counts, options);
+    } else {
+      const PairInputs in = resident_inputs(victim, layout, {task}).front();
+      t = pciam_from_spectra(in.spectra.fft_reference, in.spectra.fft_moved,
+                             *in.reference, *in.moved, host_fftp, scratch,
                              &counts, options.peak_candidates,
                              options.min_overlap_px);
       release_tile(victim, layout, task.reference);
       release_tile(victim, layout, task.moved);
-    } else {
-      const img::ImageU16 a = provider.load(task.reference);
-      const img::ImageU16 b = provider.load(task.moved);
-      counts.bump(counts.tile_reads, 2);
-      t = pciam_full(a, b, host_fftp, scratch, &counts,
-                     options.peak_candidates, options.min_overlap_px);
     }
-    if (task.is_west) {
-      table->west_of(task.moved) = t;
-    } else {
-      table->north_of(task.moved) = t;
-    }
-    note_pair_result(options, task.moved, task.is_west, t);
+    record_pair(result.table, options, task.moved, task.is_west, t);
   };
 
   pipe::Pipeline pipeline;
@@ -1103,15 +1120,13 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
             TileWork tile_work;
             tile_work.pos = pos;
             if (!gpu->halo_pull.contains(layout.index_of(pos))) {
+              std::optional<hs::trace::Recorder::Scoped> span;
               if (options.recorder != nullptr) {
-                auto span = options.recorder->scoped(
-                    "cpu.read" + std::to_string(gpu->id), "read");
-                tile_work.tile =
-                    std::make_shared<const img::ImageU16>(provider.load(pos));
-              } else {
-                tile_work.tile =
-                    std::make_shared<const img::ImageU16>(provider.load(pos));
+                span.emplace(*options.recorder,
+                             "cpu.read" + std::to_string(gpu->id), "read");
               }
+              tile_work.tile =
+                  std::make_shared<const img::ImageU16>(provider.load(pos));
               counts.bump(counts.tile_reads);
             }
             if (!gpu->q_read.push(std::move(tile_work))) return;
@@ -1119,275 +1134,176 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
         },
         [gpu] { gpu->q_read.close(); });
 
-    // ---- Stage 2: copier. Blocking pool acquire = memory back-pressure.
-    if (!batch_tiles) {
-      // Regular tiles: host-convert + async H2D, then on to the FFT stage.
-      // Halo pulls (p2p): wait for the owner's published transform, order
-      // the peer copy after the owner's FFT event, and announce readiness
-      // directly (the transform arrives already in the frequency domain).
-      pipeline.add_stage(
-          "g" + std::to_string(gpu->id) + ".copy", 1,
-          [gpu, &layout, &exchange, h, w, count, bins, buffer_bytes,
-           real_fft] {
-            while (auto tile_work = gpu->q_read.pop()) {
-              const std::size_t index = layout.index_of(tile_work->pos);
-              vgpu::PooledBuffer buffer = gpu->pool->acquire();
-              if (tile_work->tile == nullptr) {
-                HaloExchange::Entry entry = exchange.take(index);
-                if (entry.transform == nullptr) return;  // cancelled
-                gpu->copy_stream->wait_event(entry.ready);
-                void* dst = buffer.data();
-                const fft::Complex* src = entry.transform;
-                gpu->copy_stream->enqueue("memcpy_p2p",
-                                          [dst, src, buffer_bytes] {
-                                            std::memcpy(dst, src,
-                                                        buffer_bytes);
-                                          });
-                {
-                  std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                  GpuTileState& state = gpu->states.at(index);
-                  state.buffer = std::move(buffer);
-                  state.tile = std::move(entry.tile);
-                }
-                gpu->note_live();
-                const img::TilePos done = tile_work->pos;
-                gpu->copy_stream->enqueue(
-                    "halo_ready",
-                    [gpu, done, release = std::move(entry.release)] {
-                      release();  // owner may now recycle its copy
-                      gpu->q_ready.push(done);
-                    });
-                continue;
-              }
-              // Convert on the host into a staging block owned by the copy
-              // command (pinned-buffer analogue), then async H2D. Real-FFT
-              // mode stages the padded in-place r2c layout.
-              auto staging = std::make_unique<fft::Complex[]>(bins);
-              if (real_fft) {
-                vgpu::k_u16_to_real_padded(tile_work->tile->data(),
-                                           staging.get(), h, w);
-              } else {
-                vgpu::k_u16_to_complex(tile_work->tile->data(), staging.get(),
-                                       count);
-              }
+    // ---- Stage 2: copier. Host-converts a group of up to tile_k tiles into
+    // staging blocks owned by ONE async H2D command (pinned-buffer
+    // analogue), then hands each tile to the FFT stage. Blocking pool
+    // acquire = memory back-pressure. Group members take their buffer
+    // FIRST, then their work item: an unpaired buffer just returns to the
+    // pool via its handle, whereas holding a work item while blocking on a
+    // dry pool could deadlock a pool smaller than the group. Halo pulls
+    // (p2p only, so always a group of one) wait for the owner's published
+    // transform, order the peer copy after the owner's FFT event, and
+    // announce readiness directly (the transform arrives already in the
+    // frequency domain).
+    pipeline.add_stage(
+        "g" + std::to_string(gpu->id) + ".copy", 1,
+        [gpu, &layout, &exchange, h, w, count, bins, buffer_bytes, real_fft,
+         tile_k, h2d_label] {
+          struct Upload {
+            TileWork tile_work;
+            vgpu::PooledBuffer buffer;
+          };
+          struct Staging {
+            std::unique_ptr<fft::Complex[]> block;
+            void* dst = nullptr;
+          };
+          while (auto first = gpu->q_read.pop()) {
+            vgpu::PooledBuffer buffer = gpu->pool->acquire();
+            if (first->tile == nullptr) {
+              const std::size_t index = layout.index_of(first->pos);
+              HaloExchange::Entry entry = exchange.take(index);
+              if (entry.transform == nullptr) return;  // cancelled
+              gpu->copy_stream->wait_event(entry.ready);
               void* dst = buffer.data();
-              gpu->copy_stream->enqueue(
-                  "memcpy_h2d", [staging = std::move(staging), dst,
-                                 buffer_bytes] {
-                    std::memcpy(dst, staging.get(), buffer_bytes);
-                  });
+              const fft::Complex* src = entry.transform;
+              gpu->copy_stream->enqueue("memcpy_p2p", [dst, src, buffer_bytes] {
+                std::memcpy(dst, src, buffer_bytes);
+              });
               {
                 std::lock_guard<std::mutex> lock(gpu->state_mutex);
                 GpuTileState& state = gpu->states.at(index);
                 state.buffer = std::move(buffer);
-                state.tile = std::move(tile_work->tile);
+                state.tile = std::move(entry.tile);
               }
               gpu->note_live();
-              if (!gpu->q_fft.push(tile_work->pos)) return;
-            }
-            // Flush pending halo announcements before declaring this
-            // q_ready producer done.
-            gpu->copy_stream->synchronize();
-          },
-          [gpu] {
-            gpu->q_fft.close();
-            gpu->close_ready_when_done();
-          });
-    } else {
-      // Batched copier: group up to batch_k tiles into ONE H2D enqueue.
-      // Acquisition order matters — buffer FIRST, then work item: an
-      // unpaired buffer just returns to the pool via its handle, whereas
-      // holding a work item while blocking on a dry pool could deadlock a
-      // pool smaller than the batch.
-      pipeline.add_stage(
-          "g" + std::to_string(gpu->id) + ".copy", 1,
-          [gpu, &layout, h, w, count, bins, buffer_bytes, real_fft,
-           batch_k] {
-            struct Staged {
-              TileWork tile_work;
-              vgpu::PooledBuffer buffer;
-            };
-            struct Upload {
-              std::unique_ptr<fft::Complex[]> staging;
-              void* dst = nullptr;
-            };
-            for (;;) {
-              auto first = gpu->q_read.pop();
-              if (!first) break;
-              std::vector<Staged> group;
-              group.push_back(Staged{std::move(*first), gpu->pool->acquire()});
-              while (group.size() < batch_k) {
-                auto buffer = gpu->pool->try_acquire();
-                if (!buffer) break;  // pool pressure: upload what we have
-                // Batch formation: wait briefly for the reader to top the
-                // group up; a timeout (or close) dispatches the partial
-                // group. The unpaired buffer handle returns to the pool.
-                auto more =
-                    gpu->q_read.pop_for(std::chrono::microseconds(500));
-                if (!more) break;
-                group.push_back(Staged{std::move(*more), std::move(*buffer)});
-              }
-              auto uploads = std::make_unique<std::vector<Upload>>();
-              uploads->reserve(group.size());
-              for (Staged& s : group) {
-                Upload up;
-                up.staging = std::make_unique<fft::Complex[]>(bins);
-                if (real_fft) {
-                  vgpu::k_u16_to_real_padded(s.tile_work.tile->data(),
-                                             up.staging.get(), h, w);
-                } else {
-                  vgpu::k_u16_to_complex(s.tile_work.tile->data(),
-                                         up.staging.get(), count);
-                }
-                up.dst = s.buffer.data();
-                uploads->push_back(std::move(up));
-              }
               gpu->copy_stream->enqueue(
-                  "memcpy_h2d_batched",
-                  [uploads = std::move(uploads), buffer_bytes] {
-                    for (const Upload& up : *uploads) {
-                      std::memcpy(up.dst, up.staging.get(), buffer_bytes);
-                    }
+                  "halo_ready", [gpu, done = first->pos,
+                                 release = std::move(entry.release)] {
+                    release();  // owner may now recycle its copy
+                    gpu->q_ready.push(done);
                   });
-              for (Staged& s : group) {
-                const std::size_t index = layout.index_of(s.tile_work.pos);
-                {
-                  std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                  GpuTileState& state = gpu->states.at(index);
-                  state.buffer = std::move(s.buffer);
-                  state.tile = std::move(s.tile_work.tile);
-                }
-                gpu->note_live();
-                if (!gpu->q_fft.push(s.tile_work.pos)) return;
-              }
+              continue;
             }
-            gpu->copy_stream->synchronize();
-          },
-          [gpu] {
-            gpu->q_fft.close();
-            gpu->close_ready_when_done();
-          });
-    }
-
-    // ---- Stage 3: fft. Orders each FFT after the copy via a stream event,
-    // then has the fft stream itself announce completion to bookkeeping.
-    // With Kepler mode and several streams, FFTs issue concurrently.
-    auto fft_thread_ids = std::make_shared<std::atomic<std::size_t>>(0);
-    if (!batch_tiles) {
-      pipeline.add_stage(
-          "g" + std::to_string(gpu->id) + ".fft", fft_stream_count,
-          [gpu, &layout, &counts, &exchange, fft_thread_ids, bins, real_fft] {
-            const std::size_t stream_id =
-                fft_thread_ids->fetch_add(1, std::memory_order_relaxed) %
-                gpu->fft_streams.size();
-            vgpu::Stream& fft_stream = *gpu->fft_streams[stream_id];
-            while (auto pos = gpu->q_fft.pop()) {
-              const std::size_t index = layout.index_of(*pos);
-              vgpu::Event copied = gpu->copy_stream->record_event();
-              fft_stream.wait_event(std::move(copied));
-              fft::Complex* data = nullptr;
-              std::shared_ptr<const img::ImageU16> tile;
-              {
-                std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                GpuTileState& state = gpu->states.at(index);
-                data = state.buffer.as<fft::Complex>();
-                tile = state.tile;
-              }
+            std::vector<Upload> group;
+            group.push_back(Upload{std::move(*first), std::move(buffer)});
+            while (group.size() < tile_k) {
+              auto spare = gpu->pool->try_acquire();
+              if (!spare) break;  // pool pressure: upload what we have
+              // Group formation: wait briefly for the reader to top the
+              // group up; a timeout (or close) dispatches the partial group.
+              auto more = gpu->q_read.pop_for(std::chrono::microseconds(500));
+              if (!more) break;
+              group.push_back(Upload{std::move(*more), std::move(*spare)});
+            }
+            // Real-FFT mode stages the padded in-place r2c layout.
+            std::vector<Staging> staging;
+            staging.reserve(group.size());
+            for (Upload& up : group) {
+              auto block = std::make_unique<fft::Complex[]>(bins);
               if (real_fft) {
-                gpu->forward_r2c->enqueue_inplace_padded_ptr(fft_stream, data);
+                vgpu::k_u16_to_real_padded(up.tile_work.tile->data(),
+                                           block.get(), h, w);
               } else {
-                gpu->forward->enqueue_inplace_ptr(fft_stream, data);
+                vgpu::k_u16_to_complex(up.tile_work.tile->data(), block.get(),
+                                       count);
               }
-              counts.bump(counts.forward_ffts);
-              counts.bump(counts.transform_bins, bins);
-              if (gpu->halo_export.contains(index)) {
-                HaloExchange::Entry entry;
-                entry.ready = fft_stream.record_event();
-                entry.transform = data;
-                entry.tile = std::move(tile);
-                const img::GridLayout grid = layout;
-                const img::TilePos pos_copy = *pos;
-                entry.release = [gpu, grid, pos_copy] {
-                  release_tile(gpu, grid, pos_copy);
-                };
-                exchange.publish(index, std::move(entry));
-              }
-              const img::TilePos done = *pos;
-              fft_stream.enqueue("announce",
-                                 [gpu, done] { gpu->q_ready.push(done); });
+              staging.push_back(Staging{std::move(block), up.buffer.data()});
             }
-            // Drain this thread's stream so its announcements land before
-            // the producer count drops.
-            fft_stream.synchronize();
-          },
-          [gpu] { gpu->close_ready_when_done(); });
-    } else {
-      // Batched fft: group up to batch_k transforms into ONE launch and ONE
-      // announcement. A single event covers the whole group — the copy
-      // stream is in-order, so "everything enqueued so far is done" implies
-      // every member's upload is done. The grouped launch holds the fft
-      // mutex across the batch (serialized even in Kepler mode — grouping
-      // is opt-in and trades kernel concurrency for launch overhead).
-      pipeline.add_stage(
-          "g" + std::to_string(gpu->id) + ".fft", fft_stream_count,
-          [gpu, &layout, &counts, fft_thread_ids, bins, real_fft, batch_k,
-           &batch_r2c, &batch_fwd] {
-            const std::size_t stream_id =
-                fft_thread_ids->fetch_add(1, std::memory_order_relaxed) %
-                gpu->fft_streams.size();
-            vgpu::Stream& fft_stream = *gpu->fft_streams[stream_id];
-            for (;;) {
-              auto first = gpu->q_fft.pop();
-              if (!first) break;
-              std::vector<img::TilePos> group{*first};
-              while (group.size() < batch_k) {
-                // Batch formation: brief timed pop so uploads still in
-                // flight can join this FFT group (timeout or queue close
-                // dispatches the partial group).
-                auto more =
-                    gpu->q_fft.pop_for(std::chrono::microseconds(500));
-                if (!more) break;
-                group.push_back(*more);
-              }
-              fft_stream.wait_event(gpu->copy_stream->record_event());
-              auto datas = std::make_unique<std::vector<fft::Complex*>>();
-              datas->reserve(group.size());
+            gpu->copy_stream->enqueue(
+                h2d_label, [staging = std::move(staging), buffer_bytes] {
+                  for (const Staging& s : staging) {
+                    std::memcpy(s.dst, s.block.get(), buffer_bytes);
+                  }
+                });
+            for (Upload& up : group) {
               {
                 std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                for (const img::TilePos pos : group) {
-                  datas->push_back(gpu->states.at(layout.index_of(pos))
-                                       .buffer.as<fft::Complex>());
+                GpuTileState& state =
+                    gpu->states.at(layout.index_of(up.tile_work.pos));
+                state.buffer = std::move(up.buffer);
+                state.tile = std::move(up.tile_work.tile);
+              }
+              gpu->note_live();
+              if (!gpu->q_fft.push(up.tile_work.pos)) return;
+            }
+          }
+          // Flush pending halo announcements before declaring this
+          // q_ready producer done.
+          gpu->copy_stream->synchronize();
+        },
+        [gpu] {
+          gpu->q_fft.close();
+          gpu->close_ready_when_done();
+        });
+
+    // ---- Stage 3: fft. Transforms a group of up to tile_k tiles in ONE
+    // command, ordered after the group's uploads by ONE copy-stream event
+    // (the copy stream is in-order, so "everything enqueued so far is done"
+    // covers every member). The fft stream itself then publishes halo
+    // exports and announces the group to bookkeeping. Each transform runs
+    // under the device's FFT lock rule, so with Kepler mode and several
+    // streams, FFTs issue concurrently.
+    auto fft_thread_ids = std::make_shared<std::atomic<std::size_t>>(0);
+    pipeline.add_stage(
+        "g" + std::to_string(gpu->id) + ".fft", fft_stream_count,
+        [gpu, &layout, &counts, &exchange, fft_thread_ids, bins, tile_k,
+         fft_label, announce_label] {
+          const std::size_t stream_id =
+              fft_thread_ids->fetch_add(1, std::memory_order_relaxed) %
+              gpu->fft_streams.size();
+          vgpu::Stream& fft_stream = *gpu->fft_streams[stream_id];
+          while (auto first = gpu->q_fft.pop()) {
+            std::vector<img::TilePos> group{*first};
+            while (group.size() < tile_k) {
+              // Group formation: brief timed pop so uploads still in
+              // flight can join this group (timeout or close dispatches
+              // the partial group).
+              auto more = gpu->q_fft.pop_for(std::chrono::microseconds(500));
+              if (!more) break;
+              group.push_back(*more);
+            }
+            fft_stream.wait_event(gpu->copy_stream->record_event());
+            std::vector<fft::Complex*> datas;
+            std::vector<std::pair<std::size_t, HaloExchange::Entry>> exports;
+            {
+              std::lock_guard<std::mutex> lock(gpu->state_mutex);
+              for (const img::TilePos pos : group) {
+                const std::size_t index = layout.index_of(pos);
+                GpuTileState& state = gpu->states.at(index);
+                datas.push_back(state.buffer.as<fft::Complex>());
+                if (gpu->halo_export.contains(index)) {
+                  HaloExchange::Entry entry;
+                  entry.transform = datas.back();
+                  entry.tile = state.tile;
+                  const img::GridLayout grid = layout;
+                  entry.release = [gpu, grid, pos] {
+                    release_tile(gpu, grid, pos);
+                  };
+                  exports.emplace_back(index, std::move(entry));
                 }
               }
-              vgpu::Device* dev = gpu->device.get();
-              fft_stream.enqueue(
-                  real_fft ? "fft2d_r2c_batched" : "fft2d_batched",
-                  [datas = std::move(datas), dev, real_fft,
-                   r2c = batch_r2c, fwd = batch_fwd] {
-                    std::lock_guard<std::mutex> lock(dev->fft_mutex());
-                    for (fft::Complex* data : *datas) {
-                      if (real_fft) {
-                        r2c->execute_inplace_padded(data);
-                      } else {
-                        fwd->execute_inplace(data);
-                      }
-                    }
-                  });
-              counts.bump(counts.forward_ffts, group.size());
-              counts.bump(counts.transform_bins, group.size() * bins);
-              auto poses =
-                  std::make_unique<std::vector<img::TilePos>>(std::move(group));
-              fft_stream.enqueue(
-                  "announce_batched", [gpu, poses = std::move(poses)] {
-                    for (const img::TilePos pos : *poses) {
-                      gpu->q_ready.push(pos);
-                    }
-                  });
             }
-            fft_stream.synchronize();
-          },
-          [gpu] { gpu->close_ready_when_done(); });
-    }
+            fft_stream.enqueue(fft_label, [gpu, datas = std::move(datas)] {
+              for (fft::Complex* data : datas) gpu->forward_inplace(data);
+            });
+            counts.bump(counts.forward_ffts, group.size());
+            counts.bump(counts.transform_bins, group.size() * bins);
+            for (auto& [index, entry] : exports) {
+              entry.ready = fft_stream.record_event();
+              exchange.publish(index, std::move(entry));
+            }
+            fft_stream.enqueue(announce_label,
+                               [gpu, group = std::move(group)] {
+                                 for (const img::TilePos pos : group) {
+                                   gpu->q_ready.push(pos);
+                                 }
+                               });
+          }
+          // Drain this thread's stream so its announcements land before
+          // the producer count drops.
+          fft_stream.synchronize();
+        },
+        [gpu] { gpu->close_ready_when_done(); });
 
     // ---- Stage 4: bookkeeping. Ready pairs go to this GPU's WorkPool lane
     // (not a private queue) — that is what makes them visible to thieves.
@@ -1401,15 +1317,14 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
             GpuTileState& state = gpu->states.at(layout.index_of(*pos));
             state.fft_done = true;
             // Advance every owned pair whose both transforms are ready.
-            for (const PairRef& pair : gpu->owned_pairs) {
+            for (const PairTask& pair : gpu->owned_pairs) {
               if (!(pair.reference == *pos) && !(pair.moved == *pos)) continue;
               const GpuTileState& a =
                   gpu->states.at(layout.index_of(pair.reference));
               const GpuTileState& b =
                   gpu->states.at(layout.index_of(pair.moved));
               if (a.fft_done && b.fft_done) {
-                work.push(lane,
-                          PairTask{pair.reference, pair.moved, pair.is_west});
+                work.push(lane, pair);
                 ++emitted;
               }
             }
@@ -1418,21 +1333,25 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
         },
         [&work, lane] { work.close(lane); });
 
-    // ---- Stage 5: displacement. Claims from this GPU's lane (up to
-    // gpu_batch_pairs at a time). Own-lane singles follow the legacy
-    // three-command sequence; own-lane batches collapse into one grouped
-    // k_batched launch; stolen pairs run synchronously on the host.
+    // ---- Stage 5: displacement. Claims up to pair_k pairs from this GPU's
+    // lane. A single pair issues the per-pair ncc / inverse FFT / reduction
+    // sequence; a larger claim collapses into one grouped k_batched launch
+    // sharing one NCC scratch surface (the group runs sequentially inside
+    // the command). Both finish each pair through finish_pair, from the
+    // stream, so the displacement thread never blocks on the GPU. Stolen
+    // pairs run synchronously on the host.
     pipeline.add_stage(
         "g" + std::to_string(gpu->id) + ".displacement", 1,
         [gpu, lane, &work, &lane_owner, &layout, &counts, &q_ccf, &host_pair,
-         count, bins, real_fft, &options, batch_k, &batch_inv, &batch_c2r] {
+         count, bins, real_fft, &options, pair_k, ifft_label] {
           metrics::Gauge& busy = metrics::wellknown::sched_executor_busy(
               "gpu" + std::to_string(gpu->id));
           PciamScratch scratch;
           const std::size_t peaks_k =
               std::max<std::size_t>(1, options.peak_candidates);
+          const img::GridLayout grid = layout;
           for (;;) {
-            WorkPool::Claim claim = work.claim(lane, batch_k);
+            WorkPool::Claim claim = work.claim(lane, pair_k);
             if (claim.tasks.empty()) break;
             busy.set(1);
             if (claim.stolen) {
@@ -1441,147 +1360,59 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
               busy.set(0);
               continue;
             }
-            if (claim.tasks.size() == 1) {
-              const PairTask pair = claim.tasks.front();
-              throw_if_cancelled(options);
-              vgpu::PooledBuffer ncc = gpu->ncc_pool->acquire();
-              const fft::Complex* fa = nullptr;
-              const fft::Complex* fb = nullptr;
-              std::shared_ptr<const img::ImageU16> tile_a, tile_b;
-              {
-                std::lock_guard<std::mutex> lock(gpu->state_mutex);
-                GpuTileState& a =
-                    gpu->states.at(layout.index_of(pair.reference));
-                GpuTileState& b = gpu->states.at(layout.index_of(pair.moved));
-                fa = a.buffer.as<const fft::Complex>();
-                fb = b.buffer.as<const fft::Complex>();
-                tile_a = a.tile;
-                tile_b = b.tile;
-              }
-              fft::Complex* fc = ncc.as<fft::Complex>();
-              gpu->disp_stream->enqueue("ncc", [fa, fb, fc, bins] {
-                vgpu::k_ncc_half(fa, fb, fc, bins);
+            throw_if_cancelled(options);
+            vgpu::PooledBuffer ncc = gpu->ncc_pool->acquire();
+            fft::Complex* fc = ncc.as<fft::Complex>();
+            std::vector<PairInputs> inputs =
+                resident_inputs(gpu, layout, claim.tasks);
+            counts.bump(counts.ncc_multiplies, inputs.size());
+            counts.bump(counts.inverse_ffts, inputs.size());
+            counts.bump(counts.max_reductions, inputs.size());
+            if (inputs.size() == 1) {
+              const vgpu::PairDispJob job = inputs.front().spectra;
+              gpu->disp_stream->enqueue("ncc", [job, fc, bins] {
+                vgpu::k_ncc_half(job.fft_reference, job.fft_moved, fc, bins);
               });
-              if (real_fft) {
-                gpu->inverse_c2r->enqueue_inplace_half_ptr(*gpu->disp_stream,
-                                                           fc);
-              } else {
-                gpu->inverse->enqueue_inplace_ptr(*gpu->disp_stream, fc,
-                                                  "ifft2d");
-              }
-              counts.bump(counts.ncc_multiplies);
-              counts.bump(counts.inverse_ffts);
-              counts.bump(counts.max_reductions);
-
-              // Reduce, hand the scalar to the CCF stage, release the NCC
-              // buffer and both tiles' references — all from the stream, so
-              // the displacement thread never blocks on the GPU.
-              const PairTask pair_copy = pair;
-              GpuPipeline* g = gpu;
-              const img::GridLayout grid = layout;
+              gpu->disp_stream->enqueue(
+                  ifft_label, [gpu, fc] { gpu->inverse_inplace(fc); });
               gpu->disp_stream->enqueue(
                   "max_reduce",
-                  [g, grid, fc, count, pair_copy, peaks_k, real_fft,
-                   ncc = std::move(ncc), tile_a = std::move(tile_a),
-                   tile_b = std::move(tile_b), &q_ccf]() mutable {
+                  [gpu, grid, fc, count, peaks_k, real_fft,
+                   in = std::move(inputs.front()), ncc = std::move(ncc),
+                   &q_ccf]() mutable {
                     const auto peaks =
                         real_fft
                             ? vgpu::k_max_abs_topk_real(
                                   reinterpret_cast<const double*>(fc), count,
                                   peaks_k)
                             : vgpu::k_max_abs_topk(fc, count, peaks_k);
-                    CcfTask task;
-                    task.reference = std::move(tile_a);
-                    task.moved = std::move(tile_b);
-                    task.moved_pos = pair_copy.moved;
-                    task.is_west = pair_copy.is_west;
-                    task.peak_indices.reserve(peaks.size());
-                    for (const auto& peak : peaks) {
-                      task.peak_indices.push_back(peak.index);
-                    }
-                    q_ccf.push(std::move(task));
-                    // Recycle device memory.
-                    ncc.release();
-                    release_tile(g, grid, pair_copy.reference);
-                    release_tile(g, grid, pair_copy.moved);
+                    finish_pair(gpu, grid, in, peaks, q_ccf);
+                    ncc.release();  // recycle device memory
                   });
-              busy.set(0);
-              continue;
-            }
-            // Batched path: one grouped launch for the whole claim, sharing
-            // one NCC scratch buffer (the group runs sequentially inside the
-            // single command, so one surface suffices).
-            throw_if_cancelled(options);
-            vgpu::PooledBuffer ncc = gpu->ncc_pool->acquire();
-            fft::Complex* fc = ncc.as<fft::Complex>();
-            auto jobs = std::make_unique<std::vector<vgpu::PairDispJob>>();
-            auto tiles = std::make_unique<std::vector<
-                std::pair<std::shared_ptr<const img::ImageU16>,
-                          std::shared_ptr<const img::ImageU16>>>>();
-            jobs->reserve(claim.tasks.size());
-            tiles->reserve(claim.tasks.size());
-            {
-              std::lock_guard<std::mutex> lock(gpu->state_mutex);
-              for (const PairTask& pair : claim.tasks) {
-                GpuTileState& a =
-                    gpu->states.at(layout.index_of(pair.reference));
-                GpuTileState& b = gpu->states.at(layout.index_of(pair.moved));
-                jobs->push_back(
-                    vgpu::PairDispJob{a.buffer.as<const fft::Complex>(),
-                                      b.buffer.as<const fft::Complex>()});
-                tiles->emplace_back(a.tile, b.tile);
-              }
-            }
-            counts.bump(counts.ncc_multiplies, claim.tasks.size());
-            counts.bump(counts.inverse_ffts, claim.tasks.size());
-            counts.bump(counts.max_reductions, claim.tasks.size());
-            // The grouped command executes the host plan directly (the VFft
-            // wrappers would enqueue commands of their own), holding the
-            // device's FFT mutex across the batch.
-            vgpu::Device* dev = gpu->device.get();
-            std::function<void(fft::Complex*)> inverse_fn;
-            if (real_fft) {
-              inverse_fn = [plan = batch_c2r, dev](fft::Complex* data) {
-                std::lock_guard<std::mutex> lock(dev->fft_mutex());
-                plan->execute_inplace_half(data);
-              };
             } else {
-              inverse_fn = [plan = batch_inv, dev](fft::Complex* data) {
-                std::lock_guard<std::mutex> lock(dev->fft_mutex());
-                plan->execute_inplace(data);
-              };
+              gpu->disp_stream->enqueue(
+                  "pair_batch",
+                  [gpu, grid, fc, count, bins, peaks_k, real_fft,
+                   inputs = std::move(inputs), ncc = std::move(ncc),
+                   &q_ccf]() mutable {
+                    std::vector<vgpu::PairDispJob> jobs;
+                    jobs.reserve(inputs.size());
+                    for (const PairInputs& in : inputs) {
+                      jobs.push_back(in.spectra);
+                    }
+                    vgpu::k_batched(
+                        jobs.data(), jobs.size(), fc, bins, count, peaks_k,
+                        real_fft,
+                        [gpu](fft::Complex* data) {
+                          gpu->inverse_inplace(data);
+                        },
+                        [&](std::size_t i,
+                            std::vector<vgpu::MaxAbsResult> peaks) {
+                          finish_pair(gpu, grid, inputs[i], peaks, q_ccf);
+                        });
+                    ncc.release();
+                  });
             }
-            auto batch_tasks =
-                std::make_unique<std::vector<PairTask>>(claim.tasks);
-            GpuPipeline* g = gpu;
-            const img::GridLayout grid = layout;
-            gpu->disp_stream->enqueue(
-                "pair_batch",
-                [g, grid, fc, count, bins, peaks_k, real_fft, inverse_fn,
-                 jobs = std::move(jobs), tiles = std::move(tiles),
-                 batch_tasks = std::move(batch_tasks), ncc = std::move(ncc),
-                 &q_ccf]() mutable {
-                  vgpu::k_batched(
-                      jobs->data(), jobs->size(), fc, bins, count, peaks_k,
-                      real_fft, inverse_fn,
-                      [&](std::size_t i,
-                          std::vector<vgpu::MaxAbsResult> peaks) {
-                        const PairTask& pair = (*batch_tasks)[i];
-                        CcfTask task;
-                        task.reference = std::move((*tiles)[i].first);
-                        task.moved = std::move((*tiles)[i].second);
-                        task.moved_pos = pair.moved;
-                        task.is_west = pair.is_west;
-                        task.peak_indices.reserve(peaks.size());
-                        for (const auto& peak : peaks) {
-                          task.peak_indices.push_back(peak.index);
-                        }
-                        q_ccf.push(std::move(task));
-                        release_tile(g, grid, pair.reference);
-                        release_tile(g, grid, pair.moved);
-                      });
-                  ncc.release();
-                });
             busy.set(0);
           }
           busy.set(0);
@@ -1626,7 +1457,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   std::atomic<std::size_t> ccf_ids{0};
   pipeline.add_stage(
       "ccf", std::max<std::size_t>(1, options.ccf_threads),
-      [&q_ccf, table, &counts, &options, &ccf_ids, &pair_latency, w] {
+      [&q_ccf, &result, &counts, &options, &ccf_ids, &pair_latency, w] {
         const std::size_t id = ccf_ids.fetch_add(1, std::memory_order_relaxed);
         const std::string lane = "cpu.ccf" + std::to_string(id);
         while (auto task = q_ccf.pop()) {
@@ -1636,26 +1467,16 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
           HS_METRIC_TIMER(pair_latency);
           throw_if_cancelled(options);
           counts.bump(counts.ccf_evaluations, 4 * task->peak_indices.size());
-          Translation translation;
+          std::optional<hs::trace::Recorder::Scoped> span;
           if (options.recorder != nullptr) {
-            auto span = options.recorder->scoped(lane, "ccf");
-            translation =
-                disambiguate_peaks(*task->reference, *task->moved,
-                                   task->peak_indices, w,
-                                   options.min_overlap_px);
-          } else {
-            translation =
-                disambiguate_peaks(*task->reference, *task->moved,
-                                   task->peak_indices, w,
-                                   options.min_overlap_px);
+            span.emplace(*options.recorder, lane, "ccf");
           }
-          if (task->is_west) {
-            table->west_of(task->moved_pos) = translation;
-          } else {
-            table->north_of(task->moved_pos) = translation;
-          }
-          note_pair_result(options, task->moved_pos, task->is_west,
-                           translation);
+          const Translation translation =
+              disambiguate_peaks(*task->reference, *task->moved,
+                                 task->peak_indices, w, options.min_overlap_px);
+          span.reset();
+          record_pair(result.table, options, task->moved_pos, task->is_west,
+                      translation);
         }
       });
 
@@ -1688,8 +1509,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Public API: ResourceSet factories, HybridScheduler, stitch(ResourceSet),
-// and the deprecated impl:: forwarders.
+// Public API: ResourceSet factories and stitch(ResourceSet), the scheduler's
+// one entry point.
 // ---------------------------------------------------------------------------
 
 ResourceSet ResourceSet::for_backend(Backend backend,
@@ -1749,12 +1570,8 @@ std::string ResourceSet::describe() const {
   return s;
 }
 
-HybridScheduler::HybridScheduler(ResourceSet resources)
-    : resources_(std::move(resources)) {}
-
-StitchResult HybridScheduler::run(const TileProvider& provider,
-                                  const StitchOptions& options) const {
-  const ResourceSet& rs = resources_;
+StitchResult stitch(const ResourceSet& rs, const TileProvider& provider,
+                    const StitchOptions& options) {
   if (rs.gpu_batch_pairs < 1) {
     throw InvalidArgument("ResourceSet.gpu_batch_pairs: must be >= 1");
   }
@@ -1782,66 +1599,14 @@ StitchResult HybridScheduler::run(const TileProvider& provider,
     throw InvalidArgument(
         "ResourceSet: hybrid CPU+GPU bands are incompatible with use_p2p");
   }
-  if (rs.gpu_devices == 0) return run_cpu(rs, provider, options);
-  if (rs.synchronous_gpu) return run_gpu_sync(rs, provider, options);
-  return run_gpu_async(rs, provider, options);
-}
-
-StitchResult stitch(const ResourceSet& resources, const TileProvider& provider,
-                    const StitchOptions& options) {
   Stopwatch stopwatch;
-  StitchResult result = HybridScheduler(resources).run(provider, options);
-  result.backend_used = resources.label;
+  StitchResult result = rs.gpu_devices == 0 ? run_cpu(rs, provider, options)
+                        : rs.synchronous_gpu
+                            ? run_gpu_sync(rs, provider, options)
+                            : run_gpu_async(rs, provider, options);
+  result.backend_used = rs.label;
   result.seconds = stopwatch.seconds();
   return result;
 }
-
-// Deprecated per-backend entry points (impl.hpp): each is now a one-line
-// ResourceSet preset over the unified loop, kept so request.cpp's dispatch
-// and the fallback chains need no change.
-namespace impl {
-
-StitchResult stitch_naive(const TileProvider& provider,
-                          const StitchOptions& options) {
-  return HybridScheduler(
-             ResourceSet::for_backend(Backend::kNaivePairwise, options))
-      .run(provider, options);
-}
-
-StitchResult stitch_simple_cpu(const TileProvider& provider,
-                               const StitchOptions& options) {
-  return HybridScheduler(
-             ResourceSet::for_backend(Backend::kSimpleCpu, options))
-      .run(provider, options);
-}
-
-StitchResult stitch_mt_cpu(const TileProvider& provider,
-                           const StitchOptions& options) {
-  return HybridScheduler(ResourceSet::for_backend(Backend::kMtCpu, options))
-      .run(provider, options);
-}
-
-StitchResult stitch_pipelined_cpu(const TileProvider& provider,
-                                  const StitchOptions& options) {
-  return HybridScheduler(
-             ResourceSet::for_backend(Backend::kPipelinedCpu, options))
-      .run(provider, options);
-}
-
-StitchResult stitch_simple_gpu(const TileProvider& provider,
-                               const StitchOptions& options) {
-  return HybridScheduler(
-             ResourceSet::for_backend(Backend::kSimpleGpu, options))
-      .run(provider, options);
-}
-
-StitchResult stitch_pipelined_gpu(const TileProvider& provider,
-                                  const StitchOptions& options) {
-  return HybridScheduler(
-             ResourceSet::for_backend(Backend::kPipelinedGpu, options))
-      .run(provider, options);
-}
-
-}  // namespace impl
 
 }  // namespace hs::stitch

@@ -1,4 +1,5 @@
-// HybridScheduler — the one dispatch loop behind every backend.
+// The hybrid scheduler — stitch(ResourceSet), the one dispatch loop behind
+// every backend.
 //
 // The paper's six implementations (NaivePairwise, Simple-CPU, MT-CPU,
 // Pipelined-CPU, Simple-GPU, Pipelined-GPU) share the same unit of work — an
@@ -6,7 +7,7 @@
 // dispatch loop. This module collapses them into one scheduler parameterized
 // by a ResourceSet: a shared pool of pair-task lanes fed in the existing
 // traversal order, claimed by N CPU workers and/or M virtual GPUs. Each
-// legacy Backend enum value is now just a ResourceSet factory preset
+// legacy Backend enum value is just a ResourceSet factory preset
 // (ResourceSet::for_backend), and hybrid CPU+GPU configurations that no
 // enum value names become expressible.
 //
@@ -23,11 +24,13 @@
 //    because PCIAM pairs are pure: any executor produces the bit-identical
 //    Translation, so steals reorder work without changing the table.
 //
-//  * Batched vgpu dispatch (gpu_batch_pairs > 1): k pair tasks are claimed
-//    together and issued as ONE grouped launch through vgpu::k_batched (and
-//    k tile uploads/FFTs share one enqueue), amortizing Stream::enqueue
-//    overhead the way Accelerating Pathology Image Data Cross-Comparison on
-//    CPU-GPU Hybrid Systems batches small GPU tasks. Semantic op counts
+//  * Batched vgpu dispatch (gpu_batch_pairs = k > 1): k pair tasks are
+//    claimed together and issued as ONE grouped launch through
+//    vgpu::k_batched (and k tile uploads/FFTs share one enqueue), amortizing
+//    Stream::enqueue overhead the way Accelerating Pathology Image Data
+//    Cross-Comparison on CPU-GPU Hybrid Systems batches small GPU tasks.
+//    The group size is a value inside each GPU stage, not a second set of
+//    stages: k = 1 is the per-item dispatch. Semantic op counts
 //    (forward_ffts, ncc_multiplies, ...) are bumped per pair regardless of
 //    grouping; only hs_vgpu_stream_enqueues_total shrinks.
 //
@@ -78,29 +81,13 @@ struct ResourceSet {
   std::string describe() const;
 };
 
-/// One dispatch loop over pair tasks for any ResourceSet. Preserves every
-/// backend contract: per-pair cancellation polling, warm-start filtering,
-/// ledger recording, fault hooks, and bit-identical tables in both FFT
-/// modes.
-class HybridScheduler {
- public:
-  explicit HybridScheduler(ResourceSet resources);
-
-  /// Runs phase 1. Throws like the legacy backends (IoError, DeviceError,
-  /// OutOfDeviceMemory, Cancelled, ...); request.cpp's fallback chains
-  /// catch the same exceptions they always did.
-  StitchResult run(const TileProvider& provider,
-                   const StitchOptions& options) const;
-
-  const ResourceSet& resources() const { return resources_; }
-
- private:
-  ResourceSet resources_;
-};
-
-/// Convenience entry point mirroring stitch(Backend, ...): build a scheduler
-/// for `resources` and run it. This is the non-deprecated way for examples
-/// and benches to pick an execution shape.
+/// Runs phase 1 on the executors `resources` names — the scheduler's one
+/// entry point. Preserves every backend contract: per-pair cancellation
+/// polling, warm-start filtering, ledger recording, fault hooks, and
+/// bit-identical tables in both FFT modes. Throws InvalidArgument for an
+/// inconsistent ResourceSet, and like the legacy backends at runtime
+/// (IoError, DeviceError, OutOfDeviceMemory, Cancelled, ...); request.cpp's
+/// fallback chains catch the same exceptions they always did.
 StitchResult stitch(const ResourceSet& resources, const TileProvider& provider,
                     const StitchOptions& options = StitchOptions());
 

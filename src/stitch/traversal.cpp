@@ -91,4 +91,14 @@ std::size_t traversal_working_set(const img::GridLayout& layout,
   return layout.cols + 1;
 }
 
+std::size_t pool_size(const img::GridLayout& layout, Traversal traversal,
+                      std::size_t pool_buffers) {
+  return pool_buffers > 0 ? pool_buffers
+                          : traversal_working_set(layout, traversal) + 4;
+}
+
+RowBand row_band(std::size_t rows, std::size_t band, std::size_t bands) {
+  return RowBand{band * rows / bands, (band + 1) * rows / bands};
+}
+
 }  // namespace hs::stitch

@@ -45,4 +45,17 @@ std::vector<img::TilePos> traversal_order(const img::GridLayout& layout,
 std::size_t traversal_working_set(const img::GridLayout& layout,
                                   Traversal traversal);
 
+/// Transform-pool size a backend runs with: `pool_buffers` when set, else
+/// the traversal's working set plus four slots of slack.
+std::size_t pool_size(const img::GridLayout& layout, Traversal traversal,
+                      std::size_t pool_buffers);
+
+/// Rows [begin, end) of band `band` when `rows` grid rows are split into
+/// `bands` contiguous, near-equal row bands (the multi-GPU partition).
+struct RowBand {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+RowBand row_band(std::size_t rows, std::size_t band, std::size_t bands);
+
 }  // namespace hs::stitch

@@ -5,6 +5,22 @@
 
 namespace hs::vgpu {
 
+namespace {
+
+/// The device's FFT lock rule: Fermi serializes FFT kernels on fft_mutex;
+/// Kepler/Hyper-Q lets kernels on different streams overlap.
+template <typename Transform>
+void under_fft_rule(Device& device, const Transform& transform) {
+  if (device.config().concurrent_fft_kernels) {
+    transform();
+    return;
+  }
+  std::lock_guard<std::mutex> lock(device.fft_mutex());
+  transform();
+}
+
+}  // namespace
+
 VFftPlan2d::VFftPlan2d(Device& device, std::size_t height, std::size_t width,
                        fft::Direction dir, fft::Rigor rigor)
     : device_(&device),
@@ -17,18 +33,10 @@ void VFftPlan2d::enqueue(Stream& stream, const DeviceBuffer& in,
   HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
   const auto* src = in.as<const fft::Complex>();
   auto* dst = out.as<fft::Complex>();
-  auto plan = plan_;
-  Device* device = device_;
-  if (device->config().concurrent_fft_kernels) {
-    stream.enqueue(std::move(label), [plan, src, dst] {
-      plan->execute(src, dst);
-    });
-    return;
-  }
-  stream.enqueue(std::move(label), [plan, device, src, dst] {
-    std::lock_guard<std::mutex> lock(device->fft_mutex());
-    plan->execute(src, dst);
-  });
+  stream.enqueue(std::move(label),
+                 [plan = plan_, device = device_, src, dst] {
+                   under_fft_rule(*device, [&] { plan->execute(src, dst); });
+                 });
 }
 
 void VFftPlan2d::enqueue_inplace(Stream& stream, DeviceBuffer& data,
@@ -41,19 +49,12 @@ void VFftPlan2d::enqueue_inplace(Stream& stream, DeviceBuffer& data,
 void VFftPlan2d::enqueue_inplace_ptr(Stream& stream, fft::Complex* data,
                                      std::string label) const {
   HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
-  auto plan = plan_;
-  Device* device = device_;
-  if (device->config().concurrent_fft_kernels) {
-    // Kepler/Hyper-Q behaviour: FFT kernels on different streams overlap.
-    stream.enqueue(std::move(label), [plan, data] {
-      plan->execute_inplace(data);
-    });
-    return;
-  }
-  stream.enqueue(std::move(label), [plan, device, data] {
-    std::lock_guard<std::mutex> lock(device->fft_mutex());
-    plan->execute_inplace(data);
-  });
+  stream.enqueue(std::move(label),
+                 [self = *this, data] { self.execute_inplace(data); });
+}
+
+void VFftPlan2d::execute_inplace(fft::Complex* data) const {
+  under_fft_rule(*device_, [&] { plan_->execute_inplace(data); });
 }
 
 VFftPlanR2c2d::VFftPlanR2c2d(Device& device, std::size_t height,
@@ -61,22 +62,8 @@ VFftPlanR2c2d::VFftPlanR2c2d(Device& device, std::size_t height,
     : device_(&device),
       plan_(fft::PlanCache::instance().plan_r2c_2d(height, width, rigor)) {}
 
-void VFftPlanR2c2d::enqueue_inplace_padded_ptr(Stream& stream,
-                                               fft::Complex* data,
-                                               std::string label) const {
-  HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
-  auto plan = plan_;
-  Device* device = device_;
-  if (device->config().concurrent_fft_kernels) {
-    stream.enqueue(std::move(label), [plan, data] {
-      plan->execute_inplace_padded(data);
-    });
-    return;
-  }
-  stream.enqueue(std::move(label), [plan, device, data] {
-    std::lock_guard<std::mutex> lock(device->fft_mutex());
-    plan->execute_inplace_padded(data);
-  });
+void VFftPlanR2c2d::execute_inplace_padded(fft::Complex* data) const {
+  under_fft_rule(*device_, [&] { plan_->execute_inplace_padded(data); });
 }
 
 VFftPlanC2r2d::VFftPlanC2r2d(Device& device, std::size_t height,
@@ -84,22 +71,8 @@ VFftPlanC2r2d::VFftPlanC2r2d(Device& device, std::size_t height,
     : device_(&device),
       plan_(fft::PlanCache::instance().plan_c2r_2d(height, width, rigor)) {}
 
-void VFftPlanC2r2d::enqueue_inplace_half_ptr(Stream& stream,
-                                             fft::Complex* data,
-                                             std::string label) const {
-  HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
-  auto plan = plan_;
-  Device* device = device_;
-  if (device->config().concurrent_fft_kernels) {
-    stream.enqueue(std::move(label), [plan, data] {
-      plan->execute_inplace_half(data);
-    });
-    return;
-  }
-  stream.enqueue(std::move(label), [plan, device, data] {
-    std::lock_guard<std::mutex> lock(device->fft_mutex());
-    plan->execute_inplace_half(data);
-  });
+void VFftPlanC2r2d::execute_inplace_half(fft::Complex* data) const {
+  under_fft_rule(*device_, [&] { plan_->execute_inplace_half(data); });
 }
 
 }  // namespace hs::vgpu

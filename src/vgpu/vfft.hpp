@@ -3,7 +3,12 @@
 // Mirrors the paper's cuFFT usage: plans are created per tile size, executed
 // asynchronously on a stream, and — reproducing the Fermi-era cuFFT register
 // pressure restriction the paper calls out — at most one FFT kernel runs on
-// a device at a time (enforced via Device::fft_mutex).
+// a device at a time. That is the lock rule every transform here runs
+// under: hold Device::fft_mutex unless the device is configured with
+// concurrent_fft_kernels (the Kepler/Hyper-Q model). Each plan's execute_*
+// method applies the rule on the calling thread; a stream command — one
+// of VFftPlan2d's enqueue_* methods, or a scheduler command issuing one or
+// a group of transforms — calls it once per transform.
 #pragma once
 
 #include <memory>
@@ -36,6 +41,10 @@ class VFftPlan2d {
   void enqueue_inplace_ptr(Stream& stream, fft::Complex* data,
                            std::string label = "fft2d") const;
 
+  /// Runs an in-place transform on the calling thread (a stream worker of
+  /// this plan's device) under the device's FFT lock rule.
+  void execute_inplace(fft::Complex* data) const;
+
   std::size_t height() const { return plan_->height(); }
   std::size_t width() const { return plan_->width(); }
   std::size_t count() const { return plan_->count(); }
@@ -55,8 +64,9 @@ class VFftPlanR2c2d {
   VFftPlanR2c2d(Device& device, std::size_t height, std::size_t width,
                 fft::Rigor rigor = fft::Rigor::kEstimate);
 
-  void enqueue_inplace_padded_ptr(Stream& stream, fft::Complex* data,
-                                  std::string label = "fft2d_r2c") const;
+  /// Runs the transform on the calling thread (a stream worker of this
+  /// plan's device) under the device's FFT lock rule.
+  void execute_inplace_padded(fft::Complex* data) const;
 
   std::size_t height() const { return plan_->height(); }
   std::size_t width() const { return plan_->width(); }
@@ -76,8 +86,9 @@ class VFftPlanC2r2d {
   VFftPlanC2r2d(Device& device, std::size_t height, std::size_t width,
                 fft::Rigor rigor = fft::Rigor::kEstimate);
 
-  void enqueue_inplace_half_ptr(Stream& stream, fft::Complex* data,
-                                std::string label = "ifft2d_c2r") const;
+  /// Runs the transform on the calling thread (a stream worker of this
+  /// plan's device) under the device's FFT lock rule.
+  void execute_inplace_half(fft::Complex* data) const;
 
   std::size_t height() const { return plan_->height(); }
   std::size_t width() const { return plan_->width(); }

@@ -1,10 +1,12 @@
-// HybridScheduler suite: ResourceSet presets, knob validation, hybrid
+// Scheduler suite: ResourceSet presets, knob validation, hybrid
 // CPU+GPU shapes, work-stealing correctness (bit-identity under any steal
 // interleaving, straggler rescue), and batched vgpu dispatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <string>
 
 #include "common/stopwatch.hpp"
 #include "fault/plan.hpp"
@@ -13,6 +15,7 @@
 #include "stitch/scheduler.hpp"
 #include "stitch/stitcher.hpp"
 #include "testing_providers.hpp"
+#include "trace/trace.hpp"
 
 namespace hs::stitch {
 namespace {
@@ -103,25 +106,22 @@ TEST(SchedulerValidation, RejectsBadResourceSets) {
   ResourceSet none;
   none.cpu_workers = 0;
   none.gpu_devices = 0;
-  EXPECT_THROW(HybridScheduler(none).run(provider, options), InvalidArgument);
+  EXPECT_THROW(stitch(none, provider, options), InvalidArgument);
 
   ResourceSet zero_batch;
   zero_batch.gpu_batch_pairs = 0;
-  EXPECT_THROW(HybridScheduler(zero_batch).run(provider, options),
-               InvalidArgument);
+  EXPECT_THROW(stitch(zero_batch, provider, options), InvalidArgument);
 
   ResourceSet prefetch_no_cache;
   prefetch_no_cache.prefetch_threads = 1;
   prefetch_no_cache.use_transform_cache = false;
-  EXPECT_THROW(HybridScheduler(prefetch_no_cache).run(provider, options),
-               InvalidArgument);
+  EXPECT_THROW(stitch(prefetch_no_cache, provider, options), InvalidArgument);
 
   ResourceSet bad_sync;
   bad_sync.cpu_workers = 0;
   bad_sync.gpu_devices = 2;
   bad_sync.synchronous_gpu = true;
-  EXPECT_THROW(HybridScheduler(bad_sync).run(provider, options),
-               InvalidArgument);
+  EXPECT_THROW(stitch(bad_sync, provider, options), InvalidArgument);
 }
 
 TEST(SchedulerValidation, RequestRejectsBadKnobs) {
@@ -262,6 +262,68 @@ TEST(BatchedDispatch, BatchOfOneIsExactlyLegacyDispatch) {
 
   EXPECT_TRUE(tables_identical(a.table, b.table));
   EXPECT_EQ(delta_a, delta_b);
+}
+
+TEST(BatchedDispatch, BatchOfOneIssuesPerTileAndPerPairCommands) {
+  // At gpu_batch_pairs = 1 the GPU stages issue one upload, one forward FFT
+  // and one announcement per tile read, and one NCC, one inverse FFT and one
+  // reduction per pair, under exactly these labels. Enqueue counts and the
+  // per-layer vgpu metrics of the end-to-end benchmark both key on them.
+  const auto grid = make_grid(3, 4, 37);
+  MemoryTileProvider provider(&grid.tiles, grid.layout);
+  const std::size_t pairs = grid.layout.pair_count();
+  for (const bool real_fft : {false, true}) {
+    for (const std::size_t gpus : {std::size_t{1}, std::size_t{2}}) {
+      trace::Recorder recorder;
+      StitchOptions options = fast_options();
+      options.use_real_fft = real_fft;
+      options.gpu_count = gpus;
+      options.recorder = &recorder;
+      stitch(Backend::kPipelinedGpu, provider, options);
+
+      std::map<std::string, std::size_t> labels;
+      for (const trace::Span& span : recorder.spans()) {
+        if (span.lane.rfind("gpu", 0) == 0) ++labels[span.name];
+      }
+      // Without p2p every band below the first re-reads its halo row.
+      const std::size_t tiles =
+          grid.layout.tile_count() + (gpus - 1) * grid.layout.cols;
+      const std::map<std::string, std::size_t> expected = {
+          {"memcpy_h2d", tiles},
+          {real_fft ? "fft2d_r2c" : "fft2d", tiles},
+          {"announce", tiles},
+          {"ncc", pairs},
+          {real_fft ? "ifft2d_c2r" : "ifft2d", pairs},
+          {"max_reduce", pairs}};
+      EXPECT_EQ(labels, expected)
+          << (real_fft ? "r2c" : "complex") << ", " << gpus << " gpu(s)";
+    }
+  }
+}
+
+TEST(BatchedDispatch, GroupedLaunchesMatchSimpleCpuUnderKeplerAndP2p) {
+  // Grouping combined with concurrent FFT kernels on two fft streams, and
+  // with p2p halo sharing (whose halo pulls always travel as groups of one).
+  const auto grid = make_grid(5, 4, 41);
+  MemoryTileProvider provider(&grid.tiles, grid.layout);
+  const StitchResult reference =
+      stitch(Backend::kSimpleCpu, provider, fast_options());
+
+  StitchOptions kepler = fast_options();
+  kepler.gpu_count = 1;
+  kepler.gpu_batch_pairs = 4;
+  kepler.kepler_concurrent_fft = true;
+  kepler.fft_streams = 2;
+  EXPECT_TRUE(tables_identical(
+      reference.table,
+      stitch(Backend::kPipelinedGpu, provider, kepler).table));
+
+  StitchOptions p2p = fast_options();
+  p2p.gpu_count = 2;
+  p2p.gpu_batch_pairs = 4;
+  p2p.use_p2p = true;
+  EXPECT_TRUE(tables_identical(
+      reference.table, stitch(Backend::kPipelinedGpu, provider, p2p).table));
 }
 
 // --- straggler rescue --------------------------------------------------------
