@@ -50,9 +50,11 @@ void BM_Fft1d(benchmark::State& state) {
   state.SetLabel(plan.uses_bluestein() ? "bluestein" : "mixed-radix");
 }
 // 1040 and 1392: the paper's exact tile dimensions. 1024: the nearby power
-// of two. 1050/1400: their 7-smooth padding targets. 1021: prime.
+// of two. 1050/1400: their 7-smooth padding targets. 1021: prime. 260 and
+// 348 (2^2*5*13, 2^2*3*29): the serve-mix tile axes, radix 13/29 at the
+// leaf.
 BENCHMARK(BM_Fft1d)->Arg(1024)->Arg(1040)->Arg(1050)->Arg(1392)->Arg(1400)
-    ->Arg(1021)->Repetitions(3);
+    ->Arg(1021)->Arg(260)->Arg(348)->Repetitions(3);
 
 void BM_Fft1dRigor(benchmark::State& state) {
   const std::size_t n = 1392;

@@ -1,7 +1,10 @@
 #include "fft/codelets.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
 
+#include "common/error.hpp"
 #include "fft/codelets_impl.hpp"
 #include "fft/plan1d.hpp"
 
@@ -9,9 +12,9 @@ namespace hs::fft::codelets {
 
 namespace detail {
 
-// These are the loop bodies plan1d.cpp / plan2d.cpp / real.cpp inlined
-// before the codelet split, verbatim: they are the bit-identity reference
-// every vector variant is tested against.
+// The bit-identity references every vector variant is tested against. All
+// but bfr are the loop bodies plan1d.cpp / plan2d.cpp / real.cpp inlined
+// before the codelet split, verbatim.
 
 void bf2_scalar(Complex* out, const Complex* tw, std::size_t m) {
   for (std::size_t k = 0; k < m; ++k) {
@@ -42,21 +45,55 @@ void bf4_scalar(Complex* out, const Complex* tw, std::size_t m, bool forward) {
   }
 }
 
-void bfr_scalar(Complex* out, const Complex* tw, const Complex* wr, int r,
+void bfr_column_scalar(Complex* out, const Complex* tw, const double* wr,
+                       int r, std::size_t m, std::size_t k) {
+  const int h = (r - 1) / 2;
+  const std::size_t row = odd_radix_row(r);
+  const double* cs = wr;
+  const double* sn = wr + 2 * static_cast<std::size_t>(h) * row;
+  Complex s[kMaxDirectRadix / 2 + 1];
+  Complex d[kMaxDirectRadix / 2 + 1];
+  const Complex t0 = out[k];
+  const auto input = [&](int j) {
+    const std::size_t at = static_cast<std::size_t>(j) * m + k;
+    return m == 1 ? out[at] : out[at] * tw[at];
+  };
+  Complex sum = t0;
+  for (int j = 1; j <= h; ++j) {
+    const Complex a = input(j);
+    const Complex b = input(r - j);
+    s[j] = a + b;
+    d[j] = a - b;
+    sum += s[j];
+  }
+  out[k] = sum;
+  for (int q = 1; q <= h; ++q) {
+    // Entry (j, q) of a table half sits at 2 * ((j-1) * row + (q-1)).
+    const double* c = cs + 2 * static_cast<std::size_t>(q - 1);
+    const double* w = sn + 2 * static_cast<std::size_t>(q - 1);
+    double ar = t0.real();
+    double ai = t0.imag();
+    double br = w[0] * d[1].real();
+    double bi = w[0] * d[1].imag();
+    for (int j = 1; j <= h; ++j) {
+      const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
+      ar = ar + c[at] * s[j].real();
+      ai = ai + c[at] * s[j].imag();
+    }
+    for (int j = 2; j <= h; ++j) {
+      const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
+      br = br + w[at] * d[j].real();
+      bi = bi + w[at] * d[j].imag();
+    }
+    out[static_cast<std::size_t>(q) * m + k] = Complex(ar - bi, ai + br);
+    out[static_cast<std::size_t>(r - q) * m + k] = Complex(ar + bi, ai - br);
+  }
+}
+
+void bfr_scalar(Complex* out, const Complex* tw, const double* wr, int r,
                 std::size_t m) {
-  Complex t[kMaxDirectRadix + 1];
   for (std::size_t k = 0; k < m; ++k) {
-    for (int j = 0; j < r; ++j) {
-      t[j] = out[static_cast<std::size_t>(j) * m + k] *
-             tw[static_cast<std::size_t>(j) * m + k];
-    }
-    for (int q = 0; q < r; ++q) {
-      Complex acc = t[0];
-      for (int j = 1; j < r; ++j) {
-        acc += t[j] * wr[static_cast<std::size_t>(j) * r + q];
-      }
-      out[static_cast<std::size_t>(q) * m + k] = acc;
-    }
+    bfr_column_scalar(out, tw, wr, r, m, k);
   }
 }
 
@@ -99,6 +136,29 @@ void c2r_retangle_scalar(const Complex* in, const Complex* tw, Complex* z,
 }
 
 }  // namespace detail
+
+std::vector<double> odd_radix_table(int r, Direction dir) {
+  HS_REQUIRE(r >= 3 && r <= kMaxDirectRadix && r % 2 == 1,
+             "odd-radix table needs an odd radix in 3..kMaxDirectRadix");
+  const int h = (r - 1) / 2;
+  const std::size_t row = detail::odd_radix_row(r);
+  const std::size_t half = 2 * static_cast<std::size_t>(h) * row;
+  std::vector<double> table(2 * half, 0.0);
+  const double sign = dir == Direction::kForward ? -1.0 : 1.0;
+  const double theta = sign * 2.0 * std::numbers::pi / r;
+  for (int j = 1; j <= h; ++j) {
+    for (int q = 1; q <= h; ++q) {
+      // Reducing jq mod r keeps the argument in one turn.
+      const double angle = theta * static_cast<double>((j * q) % r);
+      const std::size_t at =
+          2 * (static_cast<std::size_t>(j - 1) * row +
+               static_cast<std::size_t>(q - 1));
+      table[at] = table[at + 1] = std::cos(angle);
+      table[half + at] = table[half + at + 1] = std::sin(angle);
+    }
+  }
+  return table;
+}
 
 const Set& scalar_set() {
   static const Set set{common::SimdTier::kScalar,

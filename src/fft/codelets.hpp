@@ -5,8 +5,13 @@
 // loops this library actually spends time in:
 //   * bf2 / bf4 — the specialized radix-2/radix-4 DIT butterflies, twiddle
 //     application included.
-//   * bfr — the generic small-prime butterfly (radix <= kMaxDirectRadix),
-//     vectorized across the m contiguous sub-transform columns.
+//   * bfr — the conjugate-pair odd-radix butterfly (odd radix <=
+//     kMaxDirectRadix). Input j and r-j share the real cosine and sine of
+//     W_r^(jq), so the butterfly forms their sum and difference once and
+//     accumulates real x complex products, about a quarter of the real
+//     multiplies of the r x r complex DFT matrix. It is vectorized across
+//     the m sub-transform columns, and at the m = 1 leaf (where the planner
+//     puts the large odd radix) across output pairs (q, q+1).
 //   * transpose — the cache-blocked transpose both 2-D column passes run
 //     through.
 //   * r2c_untangle / c2r_retangle — the even/odd packing arithmetic of the
@@ -25,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "common/simd.hpp"
 #include "fft/types.hpp"
@@ -41,8 +47,16 @@ struct Set {
   /// Radix-4 combine; tw rows 1..3 hold the twiddles (row 0 is implied 1).
   void (*bf4)(Complex* out, const Complex* tw, std::size_t m, bool forward);
 
-  /// Generic radix-r combine; wr is the r x r DFT matrix of the radix.
-  void (*bfr)(Complex* out, const Complex* tw, const Complex* wr, int r,
+  /// Odd radix-r combine (r = 2h + 1, 3 <= r <= kMaxDirectRadix); wr is
+  /// odd_radix_table(r, dir). With t_j the twiddled inputs, s_j = t_j +
+  /// t_(r-j) and d_j = t_j - t_(r-j) for j in 1..h, it writes
+  ///   out[0]   = t_0 + sum_j s_j
+  ///   out[q]   = A_q + i B_q,  out[r-q] = A_q - i B_q   (q in 1..h)
+  /// with A_q = t_0 + sum_j cos(jq) s_j and B_q = sum_j sin(jq) d_j, both
+  /// summed in ascending j. tw rows 1..r-1 are read (row 0 is implied 1);
+  /// at m == 1 the only column is k = 0, whose twiddles are all W^0 = 1,
+  /// so tw is not read at all.
+  void (*bfr)(Complex* out, const Complex* tw, const double* wr, int r,
               std::size_t m);
 
   /// Cache-blocked transpose: in is rows x cols, out becomes cols x rows.
@@ -60,6 +74,13 @@ struct Set {
   void (*c2r_retangle)(const Complex* in, const Complex* tw, Complex* z,
                        std::size_t h);
 };
+
+/// The constants bfr reads for odd radix r and a direction, laid out as two
+/// halves (cosines, then sines) of h rows (j = 1..h) by h-rounded-up-to-even
+/// columns (q = 1..), each entry stored twice ({v, v}, one complex-sized
+/// slot) so every tier loads it as a ready lane pair and the m = 1 vector
+/// path loads outputs (q, q+1) as one 32-byte row segment. Padding is 0.
+std::vector<double> odd_radix_table(int r, Direction dir);
 
 /// The codelet set for a tier (total: unavailable ISAs alias narrower sets).
 const Set& set_for(common::SimdTier tier);

@@ -48,6 +48,60 @@ inline __m256d cconj2(__m256d a) {
 // conjugate-mirror index, which descends while k ascends.
 inline __m256d cswap2(__m256d a) { return _mm256_permute2f128_pd(a, a, 0x01); }
 
+// m == 1 leaf: one column, so vectorize across output pairs (q, q+1). The
+// table row holds the constants of q and q+1 side by side, each as a lane
+// pair, so lane group 0 computes output q and lane group 1 output q+1 with
+// the scalar reference's exact per-output operation sequence. For odd h the
+// last pair's upper half reads the zero padding and is never stored.
+void bfr_leaf_avx2(Complex* out, const double* cs, const double* sn, int r,
+                   int h, std::size_t row) {
+  __m256d s[kMaxDirectRadix / 2 + 1];
+  __m256d d[kMaxDirectRadix / 2 + 1];
+  const __m128d t0 = _mm_loadu_pd(reinterpret_cast<const double*>(out));
+  __m128d sum = t0;
+  for (int j = 1; j <= h; ++j) {
+    const __m128d a = _mm_loadu_pd(reinterpret_cast<const double*>(out + j));
+    const __m128d b =
+        _mm_loadu_pd(reinterpret_cast<const double*>(out + (r - j)));
+    const __m128d sj = _mm_add_pd(a, b);
+    const __m128d dj = _mm_sub_pd(a, b);
+    sum = _mm_add_pd(sum, sj);
+    s[j] = _mm256_set_m128d(sj, sj);
+    d[j] = _mm256_set_m128d(dj, dj);
+  }
+  _mm_storeu_pd(reinterpret_cast<double*>(out), sum);
+  const __m256d t0x2 = _mm256_set_m128d(t0, t0);
+  const __m256d neg_re = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
+  for (int q = 1; q <= h; q += 2) {
+    const double* c = cs + 2 * static_cast<std::size_t>(q - 1);
+    const double* w = sn + 2 * static_cast<std::size_t>(q - 1);
+    __m256d acc_a = t0x2;
+    __m256d acc_b = _mm256_mul_pd(_mm256_loadu_pd(w), d[1]);
+    for (int j = 1; j <= h; ++j) {
+      const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
+      acc_a = _mm256_add_pd(acc_a,
+                            _mm256_mul_pd(_mm256_loadu_pd(c + at), s[j]));
+    }
+    for (int j = 2; j <= h; ++j) {
+      const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
+      acc_b = _mm256_add_pd(acc_b,
+                            _mm256_mul_pd(_mm256_loadu_pd(w + at), d[j]));
+    }
+    const __m256d ib = _mm256_xor_pd(_mm256_permute_pd(acc_b, 0x5), neg_re);
+    const __m256d plus = _mm256_add_pd(acc_a, ib);    // out[q], out[q+1]
+    const __m256d minus = _mm256_sub_pd(acc_a, ib);   // out[r-q], out[r-q-1]
+    if (q + 1 <= h) {
+      cstore2(out + q, plus);
+      cstore2(out + (r - q - 1), cswap2(minus));
+    } else {
+      _mm_storeu_pd(reinterpret_cast<double*>(out + q),
+                    _mm256_castpd256_pd128(plus));
+      _mm_storeu_pd(reinterpret_cast<double*>(out + (r - q)),
+                    _mm256_castpd256_pd128(minus));
+    }
+  }
+}
+
 }  // namespace
 
 void bf2_avx2(Complex* out, const Complex* tw, std::size_t m) {
@@ -104,39 +158,64 @@ void bf4_avx2(Complex* out, const Complex* tw, std::size_t m, bool forward) {
   }
 }
 
-void bfr_avx2(Complex* out, const Complex* tw, const Complex* wr, int r,
+void bfr_avx2(Complex* out, const Complex* tw, const double* wr, int r,
               std::size_t m) {
-  __m256d t[kMaxDirectRadix + 1];
+  const int h = (r - 1) / 2;
+  const std::size_t row = odd_radix_row(r);
+  const double* cs = wr;
+  const double* sn = wr + 2 * static_cast<std::size_t>(h) * row;
+  if (m == 1) {
+    bfr_leaf_avx2(out, cs, sn, r, h, row);
+    return;
+  }
+  // m >= 2: two columns (k, k+1) per register, constants broadcast.
+  const __m256d neg_re = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
+  __m256d s[kMaxDirectRadix / 2 + 1];
+  __m256d d[kMaxDirectRadix / 2 + 1];
   std::size_t k = 0;
   for (; k + 2 <= m; k += 2) {
-    for (int j = 0; j < r; ++j) {
-      t[j] = cmul2(cload2(out + static_cast<std::size_t>(j) * m + k),
-                   cload2(tw + static_cast<std::size_t>(j) * m + k));
+    const __m256d t0 = cload2(out + k);
+    __m256d sum = t0;
+    for (int j = 1; j <= h; ++j) {
+      const std::size_t ja = static_cast<std::size_t>(j) * m + k;
+      const std::size_t jb = static_cast<std::size_t>(r - j) * m + k;
+      const __m256d a = cmul2(cload2(out + ja), cload2(tw + ja));
+      const __m256d b = cmul2(cload2(out + jb), cload2(tw + jb));
+      s[j] = _mm256_add_pd(a, b);
+      d[j] = _mm256_sub_pd(a, b);
+      sum = _mm256_add_pd(sum, s[j]);
     }
-    for (int q = 0; q < r; ++q) {
-      __m256d acc = t[0];
-      for (int j = 1; j < r; ++j) {
-        const __m256d w = _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(
-            wr + static_cast<std::size_t>(j) * r + q));
-        acc = _mm256_add_pd(acc, cmul2(t[j], w));
+    cstore2(out + k, sum);
+    for (int q = 1; q <= h; ++q) {
+      const double* c = cs + 2 * static_cast<std::size_t>(q - 1);
+      const double* w = sn + 2 * static_cast<std::size_t>(q - 1);
+      __m256d acc_a = t0;
+      __m256d acc_b = _mm256_mul_pd(
+          _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w)), d[1]);
+      for (int j = 1; j <= h; ++j) {
+        const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
+        acc_a = _mm256_add_pd(
+            acc_a,
+            _mm256_mul_pd(
+                _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(c + at)),
+                s[j]));
       }
-      cstore2(out + static_cast<std::size_t>(q) * m + k, acc);
+      for (int j = 2; j <= h; ++j) {
+        const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
+        acc_b = _mm256_add_pd(
+            acc_b,
+            _mm256_mul_pd(
+                _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w + at)),
+                d[j]));
+      }
+      const __m256d ib = _mm256_xor_pd(_mm256_permute_pd(acc_b, 0x5), neg_re);
+      cstore2(out + static_cast<std::size_t>(q) * m + k,
+              _mm256_add_pd(acc_a, ib));
+      cstore2(out + static_cast<std::size_t>(r - q) * m + k,
+              _mm256_sub_pd(acc_a, ib));
     }
   }
-  if (k < m) {
-    Complex ts[kMaxDirectRadix + 1];
-    for (int j = 0; j < r; ++j) {
-      ts[j] = out[static_cast<std::size_t>(j) * m + k] *
-              tw[static_cast<std::size_t>(j) * m + k];
-    }
-    for (int q = 0; q < r; ++q) {
-      Complex acc = ts[0];
-      for (int j = 1; j < r; ++j) {
-        acc += ts[j] * wr[static_cast<std::size_t>(j) * r + q];
-      }
-      out[static_cast<std::size_t>(q) * m + k] = acc;
-    }
-  }
+  if (k < m) bfr_column_scalar(out, tw, wr, r, m, k);
 }
 
 void transpose_avx2(const Complex* in, Complex* out, std::size_t rows,
@@ -239,7 +318,7 @@ void bf2_avx2(Complex* out, const Complex* tw, std::size_t m) {
 void bf4_avx2(Complex* out, const Complex* tw, std::size_t m, bool forward) {
   bf4_scalar(out, tw, m, forward);
 }
-void bfr_avx2(Complex* out, const Complex* tw, const Complex* wr, int r,
+void bfr_avx2(Complex* out, const Complex* tw, const double* wr, int r,
               std::size_t m) {
   bfr_scalar(out, tw, wr, r, m);
 }

@@ -8,11 +8,19 @@
 
 namespace hs::fft::codelets::detail {
 
-// codelets.cpp — scalar references (exact copies of the pre-codelet loops).
+// Row length of an odd_radix_table half: h = (r-1)/2 rounded up to even.
+inline std::size_t odd_radix_row(int r) {
+  return static_cast<std::size_t>(((r - 1) / 2 + 1) & ~1);
+}
+
+// codelets.cpp — scalar references.
 void bf2_scalar(Complex* out, const Complex* tw, std::size_t m);
 void bf4_scalar(Complex* out, const Complex* tw, std::size_t m, bool forward);
-void bfr_scalar(Complex* out, const Complex* tw, const Complex* wr, int r,
+void bfr_scalar(Complex* out, const Complex* tw, const double* wr, int r,
                 std::size_t m);
+// One column k of bfr_scalar; the vector tiers' odd-m tail.
+void bfr_column_scalar(Complex* out, const Complex* tw, const double* wr,
+                       int r, std::size_t m, std::size_t k);
 void transpose_scalar(const Complex* in, Complex* out, std::size_t rows,
                       std::size_t cols);
 void r2c_untangle_scalar(const Complex* zf, const Complex* tw, Complex* out,
@@ -25,7 +33,7 @@ void c2r_retangle_scalar(const Complex* in, const Complex* tw, Complex* z,
 // so the SSE2 set reuses transpose_scalar.
 void bf2_sse2(Complex* out, const Complex* tw, std::size_t m);
 void bf4_sse2(Complex* out, const Complex* tw, std::size_t m, bool forward);
-void bfr_sse2(Complex* out, const Complex* tw, const Complex* wr, int r,
+void bfr_sse2(Complex* out, const Complex* tw, const double* wr, int r,
               std::size_t m);
 void r2c_untangle_sse2(const Complex* zf, const Complex* tw, Complex* out,
                        std::size_t h);
@@ -35,7 +43,7 @@ void c2r_retangle_sse2(const Complex* in, const Complex* tw, Complex* z,
 // codelets_avx2.cpp — two complexes per __m256d, scalar tails.
 void bf2_avx2(Complex* out, const Complex* tw, std::size_t m);
 void bf4_avx2(Complex* out, const Complex* tw, std::size_t m, bool forward);
-void bfr_avx2(Complex* out, const Complex* tw, const Complex* wr, int r,
+void bfr_avx2(Complex* out, const Complex* tw, const double* wr, int r,
               std::size_t m);
 void transpose_avx2(const Complex* in, Complex* out, std::size_t rows,
                     std::size_t cols);

@@ -6,7 +6,9 @@
 //     std::complex (the __muldc3 NaN-recovery branch is unreachable for the
 //     finite data these codelets see);
 //   * x - y is computed as x + (-y), which IEEE 754 defines to be the same
-//     operation; negation/conjugation is a sign-bit flip either way;
+//     operation; negation/conjugation is a sign-bit flip either way (so the
+//     odd-radix butterfly's A -/+ iB, formed from a sign-flipped swap of B,
+//     rounds exactly like the scalar ar + bi / ar - bi);
 //   * the TU compiles with -ffp-contract=off, so no mul+add pair can fuse
 //     into an FMA with different rounding than the scalar baseline.
 #include "fft/codelets_impl.hpp"
@@ -75,21 +77,49 @@ void bf4_sse2(Complex* out, const Complex* tw, std::size_t m, bool forward) {
   }
 }
 
-void bfr_sse2(Complex* out, const Complex* tw, const Complex* wr, int r,
+void bfr_sse2(Complex* out, const Complex* tw, const double* wr, int r,
               std::size_t m) {
-  __m128d t[kMaxDirectRadix + 1];
+  const int h = (r - 1) / 2;
+  const std::size_t row = odd_radix_row(r);
+  const double* cs = wr;
+  const double* sn = wr + 2 * static_cast<std::size_t>(h) * row;
+  const __m128d neg_re = _mm_set_pd(0.0, -0.0);
+  __m128d s[kMaxDirectRadix / 2 + 1];
+  __m128d d[kMaxDirectRadix / 2 + 1];
   for (std::size_t k = 0; k < m; ++k) {
-    for (int j = 0; j < r; ++j) {
-      t[j] = cmul(cload(out + static_cast<std::size_t>(j) * m + k),
-                  cload(tw + static_cast<std::size_t>(j) * m + k));
+    const __m128d t0 = cload(out + k);
+    const auto input = [&](int j) {
+      const std::size_t at = static_cast<std::size_t>(j) * m + k;
+      return m == 1 ? cload(out + at) : cmul(cload(out + at), cload(tw + at));
+    };
+    __m128d sum = t0;
+    for (int j = 1; j <= h; ++j) {
+      const __m128d a = input(j);
+      const __m128d b = input(r - j);
+      s[j] = _mm_add_pd(a, b);
+      d[j] = _mm_sub_pd(a, b);
+      sum = _mm_add_pd(sum, s[j]);
     }
-    for (int q = 0; q < r; ++q) {
-      __m128d acc = t[0];
-      for (int j = 1; j < r; ++j) {
-        acc = _mm_add_pd(
-            acc, cmul(t[j], cload(wr + static_cast<std::size_t>(j) * r + q)));
+    cstore(out + k, sum);
+    for (int q = 1; q <= h; ++q) {
+      const double* c = cs + 2 * static_cast<std::size_t>(q - 1);
+      const double* w = sn + 2 * static_cast<std::size_t>(q - 1);
+      __m128d acc_a = t0;
+      __m128d acc_b = _mm_mul_pd(_mm_loadu_pd(w), d[1]);
+      for (int j = 1; j <= h; ++j) {
+        const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
+        acc_a = _mm_add_pd(acc_a, _mm_mul_pd(_mm_loadu_pd(c + at), s[j]));
       }
-      cstore(out + static_cast<std::size_t>(q) * m + k, acc);
+      for (int j = 2; j <= h; ++j) {
+        const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
+        acc_b = _mm_add_pd(acc_b, _mm_mul_pd(_mm_loadu_pd(w + at), d[j]));
+      }
+      // i*B = (-B.im, B.re): out[q] = A + iB, out[r-q] = A - iB.
+      const __m128d ib =
+          _mm_xor_pd(_mm_shuffle_pd(acc_b, acc_b, 0x1), neg_re);
+      cstore(out + static_cast<std::size_t>(q) * m + k, _mm_add_pd(acc_a, ib));
+      cstore(out + static_cast<std::size_t>(r - q) * m + k,
+             _mm_sub_pd(acc_a, ib));
     }
   }
 }
@@ -131,7 +161,7 @@ void bf2_sse2(Complex* out, const Complex* tw, std::size_t m) {
 void bf4_sse2(Complex* out, const Complex* tw, std::size_t m, bool forward) {
   bf4_scalar(out, tw, m, forward);
 }
-void bfr_sse2(Complex* out, const Complex* tw, const Complex* wr, int r,
+void bfr_sse2(Complex* out, const Complex* tw, const double* wr, int r,
               std::size_t m) {
   bfr_scalar(out, tw, wr, r, m);
 }

@@ -86,7 +86,8 @@ struct SmoothPlan {
   std::vector<int> factors;            // radix applied at each depth
   std::vector<std::size_t> subsize;    // transform size at each depth
   std::vector<std::vector<Complex>> level_tw;  // [depth][j*m + k] = W^(j*k*s)
-  std::vector<std::vector<Complex>> radix_tw;  // [depth][j*r + q] = W_r^(j*q)
+  // [depth] codelets::odd_radix_table(r, dir) for odd r; empty for 2 and 4.
+  std::vector<std::vector<double>> radix_tw;
 
   void build(std::size_t size, Direction direction, std::vector<int> order,
              common::SimdTier tier) {
@@ -116,16 +117,8 @@ struct SmoothPlan {
               Complex(std::cos(theta * t), std::sin(theta * t));
         }
       }
-      auto& wr = radix_tw[d];
-      wr.resize(static_cast<std::size_t>(r) * static_cast<std::size_t>(r));
-      const double theta_r = sign * 2.0 * std::numbers::pi / r;
-      for (int j = 0; j < r; ++j) {
-        for (int q = 0; q < r; ++q) {
-          const int t = (j * q) % r;
-          wr[static_cast<std::size_t>(j) * r + q] =
-              Complex(std::cos(theta_r * t), std::sin(theta_r * t));
-        }
-      }
+      HS_ASSERT(r == 2 || r == 4 || r % 2 == 1);
+      if (r % 2 == 1) radix_tw[d] = codelets::odd_radix_table(r, dir);
       sub = m;
     }
     subsize[factors.size()] = 1;

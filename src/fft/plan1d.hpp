@@ -3,8 +3,10 @@
 // Strategy selection:
 //   * n whose prime factors are all <= kMaxDirectRadix runs a recursive
 //     decimation-in-time mixed-radix kernel with per-depth precomputed
-//     twiddle tables (specialized radix-2/4 butterflies, generic small-prime
-//     DFT otherwise).
+//     twiddle tables: specialized radix-2/4 butterflies, and for every odd
+//     radix the conjugate-pair butterfly (fft/codelets.hpp), which pairs
+//     inputs j and r-j so the radix's DFT costs real x complex products
+//     against per-depth cosine/sine tables built at plan time.
 //   * n with a larger prime factor falls back to Bluestein's chirp-z
 //     algorithm over a power-of-two transform of length >= 2n-1. This is
 //     exactly the regime the paper's 1392x1040 microscope tiles flirt with

@@ -17,6 +17,14 @@ using Complex = std::complex<double>;
 
 enum class Direction { kForward, kInverse };
 
+/// Version of the transforms' rounding. Two builds with the same version
+/// produce bit-identical spectra for the same input and tier; persisted
+/// spectra and pair results (the spill tier) carry it and are recomputed
+/// when it differs. Bump it whenever any butterfly's operation sequence
+/// changes. 1: the conjugate-pair odd-radix butterfly (0 was the r x r
+/// complex DFT-matrix butterfly).
+inline constexpr std::uint16_t kNumericsVersion = 1;
+
 /// Planning rigor, mirroring FFTW's planner flags. kEstimate picks a
 /// heuristic factor ordering; kMeasure and kPatient time candidate execution
 /// strategies on scratch data and keep the fastest (kPatient explores more

@@ -26,8 +26,9 @@ void validate(std::size_t n, const std::vector<int>& factors, int tier) {
   HS_REQUIRE(!factors.empty() || n == 1, "empty factor list");
   std::size_t product = 1;
   for (const int f : factors) {
-    HS_REQUIRE(f >= 2 && f <= kMaxDirectRadix,
-               "wisdom factor outside direct-radix range");
+    HS_REQUIRE(
+        f == 2 || f == 4 || (f % 2 == 1 && f >= 3 && f <= kMaxDirectRadix),
+        "wisdom factor is not 2, 4 or an odd radix <= kMaxDirectRadix");
     product *= static_cast<std::size_t>(f);
   }
   HS_REQUIRE(product == n, "wisdom factors do not multiply to the size");

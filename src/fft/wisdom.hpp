@@ -29,8 +29,9 @@ struct WisdomEntry {
 
 /// Records the winning factor ordering for (n, dir). Called automatically
 /// by measured/patient planning; callable directly for tests and tools.
-/// Throws InvalidArgument unless the factors multiply to n and are all
-/// direct-radix sized. This overload leaves the tier unspecified.
+/// Throws InvalidArgument unless the factors multiply to n and each is a
+/// radix the plan has a butterfly for: 2, 4, or odd and <= kMaxDirectRadix.
+/// This overload leaves the tier unspecified.
 void wisdom_remember(std::size_t n, Direction dir, std::vector<int> factors);
 
 /// As above, also recording the codelet tier that won the measurement.

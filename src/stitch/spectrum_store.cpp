@@ -8,6 +8,7 @@
 
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
+#include "fft/types.hpp"
 #include "metrics/wellknown.hpp"
 
 namespace hs::stitch {
@@ -21,14 +22,21 @@ namespace {
 constexpr std::uint32_t kSpectrumMagic = 0x46535348u;
 constexpr std::uint32_t kPairMagic = 0x52505348u;
 constexpr std::size_t kFrameHeader = 12;
-// digest u64 + height u32 + width u32 + real u8 + tier u8 + pad u16 +
-// bin_count u64, ahead of the raw bins.
+// digest u64 + height u32 + width u32 + real u8 + tier u8 + numerics u16 +
+// bin_count u64, ahead of the raw bins. The numerics field is
+// fft::kNumericsVersion (0 in stores written before it existed): a frame or
+// pair record of another version is stale, not corrupt, and recomputes.
 constexpr std::size_t kSpectrumHeaderBytes = 28;
 constexpr std::size_t kPairPayloadBytes = 64;
 // A garbage length field must not make recovery allocate gigabytes; 256 MiB
 // covers a 4Kx4K complex spectrum with room to spare.
 constexpr std::uint32_t kMaxPayload = 256u << 20;
 constexpr std::size_t kSimdTierCount = 3;  // common::SimdTier vocabulary
+
+void put_u16(std::string& out, std::uint16_t v) {
+  out.push_back(static_cast<char>(v & 0xFF));
+  out.push_back(static_cast<char>((v >> 8) & 0xFF));
+}
 
 void put_u32(std::string& out, std::uint32_t v) {
   char bytes[4];
@@ -42,6 +50,11 @@ void put_u32(std::string& out, std::uint32_t v) {
 void put_u64(std::string& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
   put_u32(out, static_cast<std::uint32_t>(v >> 32));
+}
+
+std::uint16_t get_u16(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
 }
 
 std::uint32_t get_u32(const char* p) {
@@ -76,7 +89,7 @@ std::string spectrum_payload(const SpectrumKey& key,
   put_u32(payload, key.width);
   payload.push_back(key.real_fft ? 1 : 0);
   payload.push_back(static_cast<char>(key.tier));
-  payload.append(2, '\0');
+  put_u16(payload, fft::kNumericsVersion);
   put_u64(payload, bins.size());
   // Raw IEEE bytes round-trip bit-exactly, which is what keeps spill hits
   // inside the backends' bit-identity guarantees.
@@ -85,17 +98,24 @@ std::string spectrum_payload(const SpectrumKey& key,
   return payload;
 }
 
+enum class FrameCheck { kValid, kStale, kCorrupt };
+
 /// Full-frame validation: magic, length, CRC32C, and a self-consistent
-/// header. Fills *key and *bin_count on success.
-bool validate_spectrum_file(const std::string& contents, SpectrumKey* key,
-                            std::uint64_t* bin_count) {
-  if (contents.size() < kFrameHeader + kSpectrumHeaderBytes) return false;
-  if (get_u32(contents.data()) != kSpectrumMagic) return false;
+/// header. Fills *key and *bin_count when valid; an intact frame of another
+/// FFT numerics version is kStale.
+FrameCheck validate_spectrum_file(const std::string& contents,
+                                  SpectrumKey* key, std::uint64_t* bin_count) {
+  if (contents.size() < kFrameHeader + kSpectrumHeaderBytes) {
+    return FrameCheck::kCorrupt;
+  }
+  if (get_u32(contents.data()) != kSpectrumMagic) return FrameCheck::kCorrupt;
   const std::uint32_t len = get_u32(contents.data() + 4);
-  if (len > kMaxPayload || kFrameHeader + len != contents.size()) return false;
-  if (crc32c(contents.data() + kFrameHeader, len) !=
+  if (len > kMaxPayload || kFrameHeader + len != contents.size()) {
+    return FrameCheck::kCorrupt;
+  }
+  if (crc32c(contents.data() + kFrameHeader, std::size_t{len}) !=
       get_u32(contents.data() + 8)) {
-    return false;
+    return FrameCheck::kCorrupt;
   }
   const char* p = contents.data() + kFrameHeader;
   key->digest = get_u64(p);
@@ -103,12 +123,16 @@ bool validate_spectrum_file(const std::string& contents, SpectrumKey* key,
   key->width = get_u32(p + 12);
   key->real_fft = p[16] != 0;
   const auto tier = static_cast<unsigned char>(p[17]);
-  if (tier >= kSimdTierCount) return false;
+  if (tier >= kSimdTierCount) return FrameCheck::kCorrupt;
   key->tier = static_cast<common::SimdTier>(tier);
   *bin_count = get_u64(p + 20);
   const std::size_t bin_bytes = len - kSpectrumHeaderBytes;
-  return bin_bytes % sizeof(fft::Complex) == 0 &&
-         *bin_count == bin_bytes / sizeof(fft::Complex);
+  if (bin_bytes % sizeof(fft::Complex) != 0 ||
+      *bin_count != bin_bytes / sizeof(fft::Complex)) {
+    return FrameCheck::kCorrupt;
+  }
+  return get_u16(p + 18) == fft::kNumericsVersion ? FrameCheck::kValid
+                                                  : FrameCheck::kStale;
 }
 
 bool read_file(const std::string& path, std::string* out) {
@@ -186,8 +210,9 @@ SpectrumStore::~SpectrumStore() {
 void SpectrumStore::recover() {
   // Startup GC + warm-start index: orphaned .tmp files (a crash between
   // write and rename) are deleted, every .spec frame is fully validated
-  // (corrupt ones deleted and counted — they must recompute, never load),
-  // and the pair log replays up to its first damaged record.
+  // (corrupt ones deleted and counted — they must recompute, never load;
+  // stale-numerics ones deleted too), and the pair log replays up to its
+  // first damaged record, skipping stale ones.
   std::vector<std::string> tmp_files;
   std::vector<std::string> spectrum_files;
   for (const fs::directory_entry& entry : fs::directory_iterator(config_.dir)) {
@@ -206,17 +231,22 @@ void SpectrumStore::recover() {
     std::string contents;
     SpectrumKey key;
     std::uint64_t bin_count = 0;
-    if (read_file(path, &contents) &&
-        validate_spectrum_file(contents, &key, &bin_count)) {
+    const FrameCheck check =
+        read_file(path, &contents)
+            ? validate_spectrum_file(contents, &key, &bin_count)
+            : FrameCheck::kCorrupt;
+    if (check == FrameCheck::kValid) {
       if (index_.emplace(key, FrameInfo{path, bin_count}).second) {
         metric_frames_.add(1);
         continue;
       }
+    } else if (check == FrameCheck::kStale) {
+      ++stats_.stale_records;
     } else {
       ++stats_.corrupt_frames;
       metric_corrupt_.add();
     }
-    // Corrupt, unreadable, or a duplicate of an already-indexed key.
+    // Corrupt, stale, unreadable, or a duplicate of an already-indexed key.
     if (std::remove(path.c_str()) == 0) ++stats_.gc_removed;
   }
   stats_.spectrum_frames = index_.size();
@@ -242,6 +272,13 @@ void SpectrumStore::replay_pair_log() {
     key.real_fft = q[24] != 0;
     const auto tier = static_cast<unsigned char>(q[25]);
     if (tier >= kSimdTierCount) break;
+    offset += kFrameHeader + kPairPayloadBytes;
+    if (get_u16(q + 26) != fft::kNumericsVersion) {
+      // Intact but computed by other FFT numerics: skip it (the pair
+      // recomputes and appends a current record), keep replaying.
+      ++stats_.stale_records;
+      continue;
+    }
     key.tier = static_cast<common::SimdTier>(tier);
     key.peak_candidates = get_u32(q + 28);
     key.min_overlap_px = static_cast<std::int64_t>(get_u64(q + 32));
@@ -251,7 +288,6 @@ void SpectrumStore::replay_pair_log() {
     const std::uint64_t corr_bits = get_u64(q + 56);
     std::memcpy(&value.correlation, &corr_bits, sizeof(corr_bits));
     pairs_[key] = value;
-    offset += kFrameHeader + kPairPayloadBytes;
   }
   if (offset < contents.size()) {
     // Torn or bit-flipped tail: count it, cut it, keep the valid prefix —
@@ -327,7 +363,8 @@ SpectrumStore::SpectrumPtr SpectrumStore::load(const SpectrumKey& key) {
   SpectrumKey parsed;
   std::uint64_t bin_count = 0;
   const bool ok = read_file(it->second.path, &contents) &&
-                  validate_spectrum_file(contents, &parsed, &bin_count) &&
+                  validate_spectrum_file(contents, &parsed, &bin_count) ==
+                      FrameCheck::kValid &&
                   parsed == key;
   if (!ok) {
     // Damaged or unreadable frame: delete it and demote to a miss — the
@@ -384,7 +421,7 @@ bool SpectrumStore::append_pair_locked(const PairKey& key,
   put_u32(payload, key.width);
   payload.push_back(key.real_fft ? 1 : 0);
   payload.push_back(static_cast<char>(key.tier));
-  payload.append(2, '\0');
+  put_u16(payload, fft::kNumericsVersion);
   put_u32(payload, key.peak_candidates);
   put_u64(payload, static_cast<std::uint64_t>(key.min_overlap_px));
   put_u64(payload, static_cast<std::uint64_t>(value.x));

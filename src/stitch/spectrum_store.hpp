@@ -11,6 +11,9 @@
 //
 // Integrity over availability: every frame is validated (magic, length,
 // CRC32C, header/key match) at recover time and again on every demand load.
+// Frames and pair records also carry fft::kNumericsVersion; one written by a
+// build with different FFT rounding is stale and recomputes as a miss, so a
+// spill dir never mixes two numerics into one table.
 // Damage of any kind — bit rot, a short write, a torn pair-log tail — demotes
 // to a recompute-as-miss and deletes the offending bytes; a corrupt frame can
 // never become a wrong table. Fault sites fault::Site::kSpillWrite /
@@ -78,7 +81,8 @@ class SpectrumStore {
     std::uint64_t bytes_read = 0;      ///< demand-load bytes
     std::uint64_t corrupt_frames = 0;  ///< CRC/framing failures (load+recover)
     std::uint64_t write_failures = 0;  ///< dropped writes (ENOSPC, short)
-    std::uint64_t gc_removed = 0;      ///< orphaned/corrupt files deleted
+    std::uint64_t gc_removed = 0;      ///< orphaned/corrupt/stale files deleted
+    std::uint64_t stale_records = 0;   ///< frames/pairs of other FFT numerics
     std::size_t spectrum_frames = 0;   ///< valid frames currently indexed
     std::size_t pairs = 0;             ///< pair displacements resident
   };

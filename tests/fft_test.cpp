@@ -16,6 +16,7 @@
 #include "fft/plan2d.hpp"
 #include "fft/plan_cache.hpp"
 #include "fft/real.hpp"
+#include "fft/wisdom.hpp"
 
 namespace hs::fft {
 namespace {
@@ -184,6 +185,59 @@ TEST(Fft1d, FactorsMultiplyToSize) {
   std::size_t product = 1;
   for (int f : plan.factors()) product *= static_cast<std::size_t>(f);
   EXPECT_EQ(product, 360u);
+}
+
+// Relative L2 error ||out - ref|| / ||ref||, the usual FFT accuracy figure
+// (benchFFT's). A max-norm ratio is limited by the O(n^2) reference's own
+// round-off: it reads ~2e-15 at n = 1024 for the unchanged radix-4 path.
+double relative_error(const std::vector<Complex>& out,
+                      const std::vector<Complex>& ref) {
+  EXPECT_EQ(out.size(), ref.size());
+  double err = 0.0;
+  double norm = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    err += std::norm(out[i] - ref[i]);
+    norm += std::norm(ref[i]);
+  }
+  return std::sqrt(err / norm);
+}
+
+// The conjugate-pair odd-radix butterfly is exact math, so the paper's tile
+// axes (and their serve-mix-sized cousins) must stay at double-precision
+// round-off against the O(n^2) reference DFT, in both directions.
+TEST(Fft1d, OddRadixSizesMatchReferenceToRoundOff) {
+  for (const std::size_t n :
+       std::vector<std::size_t>{13, 29, 260, 348, 1040, 1392}) {
+    const auto x = random_signal(n, 31 * n);
+    for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+      Plan1d plan(n, dir);
+      std::vector<Complex> out(n);
+      plan.execute(x.data(), out.data());
+      EXPECT_LE(relative_error(out, dft_reference(x, dir)), 2e-15)
+          << "n=" << n;
+    }
+  }
+}
+
+// Orderings the heuristic planner never emits: odd composites built only
+// from odd radices, including a single radix-27 butterfly.
+TEST(Fft1d, WisdomForcedOddCompositesMatchReference) {
+  const std::vector<std::vector<int>> orders{{9, 5}, {27}, {25, 3}};
+  for (const auto& order : orders) {
+    std::size_t n = 1;
+    for (const int f : order) n *= static_cast<std::size_t>(f);
+    wisdom_clear();
+    wisdom_remember(n, Direction::kForward, order);
+    Plan1d plan(n, Direction::kForward);
+    EXPECT_EQ(plan.factors(), order);
+    const auto x = random_signal(n, 17 * n);
+    std::vector<Complex> out(n);
+    plan.execute(x.data(), out.data());
+    EXPECT_LE(relative_error(out, dft_reference(x, Direction::kForward)),
+              2e-15)
+        << "n=" << n;
+  }
+  wisdom_clear();
 }
 
 TEST(Fft1d, ZeroSizeRejected) {

@@ -1013,6 +1013,98 @@ TEST_F(SpillRecoveryTest, TruncatedFrameAndTornPairLogAreCutAtRestart) {
                                reference.table));
 }
 
+/// Rewrites the 2-byte FFT numerics field of one spill frame (spectrum
+/// frames at payload byte 18, pair records at 26) and re-seals its CRC, the
+/// way a build from before fft::kNumericsVersion existed wrote it.
+void forge_numerics_version(std::string* bytes, std::size_t frame_at,
+                            std::size_t field_at, std::uint16_t version) {
+  constexpr std::size_t kHeader = 12;  // magic, length, crc32c
+  const std::uint32_t len = static_cast<std::uint32_t>(
+      static_cast<unsigned char>((*bytes)[frame_at + 4]) |
+      static_cast<unsigned char>((*bytes)[frame_at + 5]) << 8 |
+      static_cast<unsigned char>((*bytes)[frame_at + 6]) << 16 |
+      static_cast<unsigned char>((*bytes)[frame_at + 7]) << 24);
+  const std::size_t payload = frame_at + kHeader;
+  (*bytes)[payload + field_at] = static_cast<char>(version & 0xFF);
+  (*bytes)[payload + field_at + 1] = static_cast<char>(version >> 8);
+  const std::uint32_t crc =
+      crc32c(bytes->data() + payload, static_cast<std::size_t>(len));
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[frame_at + 8 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+}
+
+TEST_F(SpillRecoveryTest, StaleNumericsFramesAndPairsRecomputeAtRestart) {
+  const testing_grid grid = small_grid();
+  stitch::MemoryTileProvider provider(&grid.tiles, grid.layout);
+
+  serve::ServiceConfig config;
+  config.workers = 1;
+  config.shared_cache_bytes = 16ull << 20;
+  config.spill_dir = dir_ + "/spill";
+  const auto submit = [&](serve::StitchService& service) {
+    serve::StitchJob job;
+    job.name = "scan";
+    job.backend = stitch::Backend::kSimpleCpu;
+    job.provider = &provider;
+    job.options = fast_options();
+    return service.submit(std::move(job)).wait();
+  };
+
+  stitch::StitchResult fresh;
+  {
+    serve::StitchService service(config);
+    fresh = submit(service);
+  }
+  const std::vector<std::string> frames = spill_frames(config.spill_dir);
+  ASSERT_FALSE(frames.empty());
+  const std::string pair_log = config.spill_dir + "/pairs.log";
+  std::size_t pairs_before = 0;
+  {
+    stitch::SpectrumStore probe({config.spill_dir, nullptr});
+    pairs_before = probe.stats().pairs;
+  }
+  ASSERT_GT(pairs_before, 0u);
+
+  // Re-stamp every frame and pair record as version 0: intact frames with
+  // valid CRCs, written by FFT numerics this build does not produce.
+  for (const std::string& frame : frames) {
+    std::string bytes = read_bytes(frame);
+    forge_numerics_version(&bytes, 0, 18, 0);
+    write_bytes(frame, bytes);
+  }
+  std::string log = read_bytes(pair_log);
+  constexpr std::size_t kPairRecord = 12 + 64;
+  ASSERT_EQ(log.size() % kPairRecord, 0u);
+  for (std::size_t at = 0; at < log.size(); at += kPairRecord) {
+    forge_numerics_version(&log, at, 26, 0);
+  }
+  write_bytes(pair_log, log);
+
+  // Restart: stale is neither loaded nor counted corrupt, and the stale
+  // records are skipped, not cut, so the log keeps its length.
+  {
+    serve::StitchService service(config);
+    const stitch::SpectrumStore::Stats stats = service.spill_store()->stats();
+    EXPECT_EQ(stats.spectrum_frames, 0u);
+    EXPECT_EQ(stats.pairs, 0u);
+    EXPECT_EQ(stats.corrupt_frames, 0u);
+    EXPECT_EQ(stats.stale_records, frames.size() + pairs_before);
+    EXPECT_EQ(fs::file_size(pair_log), log.size());
+    const stitch::StitchResult recomputed = submit(service);
+    EXPECT_GT(recomputed.ops.forward_ffts, 0u);
+    EXPECT_TRUE(tables_identical(recomputed.table, fresh.table));
+  }
+
+  // The recomputed records were appended behind the stale ones; replay
+  // skips past the stale prefix and the next incarnation starts warm.
+  serve::StitchService service(config);
+  EXPECT_EQ(service.spill_store()->stats().pairs, pairs_before);
+  const stitch::StitchResult warm = submit(service);
+  EXPECT_EQ(warm.ops.forward_ffts, 0u);
+  EXPECT_TRUE(tables_identical(warm.table, fresh.table));
+}
+
 TEST_F(SpillRecoveryTest, StartupGcSweepsTmpFilesAndGarbageFrames) {
   const std::string spill = dir_ + "/spill";
   fs::create_directories(spill);

@@ -18,6 +18,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "fft/codelets.hpp"
 #include "fft/plan1d.hpp"
 #include "fft/plan2d.hpp"
 #include "fft/plan_cache.hpp"
@@ -297,12 +298,54 @@ TEST(SimdKernels, PaddedWideningMatchesRowByRowReference) {
   }
 }
 
-// --- FFT plan bit-identity ------------------------------------------------
+// --- FFT codelet and plan bit-identity ------------------------------------
+
+// Every tier's odd-radix butterfly against the scalar reference, for every
+// odd radix the planner can emit. m = 1 takes the AVX2 output-pair path
+// (odd and even h), m = 2 and 4 the column-pair loop, m = 3 and 5 add the
+// odd-m tail. Twiddles are random: the codelet contract is arithmetic, not
+// the plan's particular tables.
+TEST(SimdFft, OddRadixButterflyBitIdenticalAcrossTiers) {
+  using fft::codelets::Set;
+  // Only tiers this CPU can execute; wider ones run scalar-vs-scalar.
+  std::vector<const Set*> tiers;
+  for (const SimdTier tier : {SimdTier::kSse2, SimdTier::kAvx2}) {
+    if (tier <= common::detected_tier()) {
+      tiers.push_back(&fft::codelets::set_for(tier));
+    }
+  }
+  for (int r = 3; r <= fft::kMaxDirectRadix; r += 2) {
+    for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+      const std::vector<double> wr = fft::codelets::odd_radix_table(r, dir);
+      for (std::size_t m = 1; m <= 5; ++m) {
+        const std::size_t n = static_cast<std::size_t>(r) * m;
+        const auto data = random_spectrum(n, 1000 * r + m);
+        const auto tw = random_spectrum(n, 7000 * r + m);
+        std::vector<Complex> expect = data;
+        fft::codelets::scalar_set().bfr(expect.data(), tw.data(), wr.data(),
+                                        r, m);
+        for (const Set* set : tiers) {
+          std::vector<Complex> got = data;
+          set->bfr(got.data(), tw.data(), wr.data(), r, m);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(expect[i].real(), got[i].real())
+                << "r=" << r << " m=" << m << " i=" << i << " tier "
+                << common::tier_name(set->tier);
+            ASSERT_EQ(expect[i].imag(), got[i].imag())
+                << "r=" << r << " m=" << m << " i=" << i << " tier "
+                << common::tier_name(set->tier);
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(SimdFft, Plan1dBitIdenticalAcrossTiers) {
-  for (const std::size_t n : {std::size_t{29}, std::size_t{240},
-                              std::size_t{256}, std::size_t{1041},
-                              std::size_t{1391}}) {
+  for (const std::size_t n :
+       {std::size_t{29}, std::size_t{240}, std::size_t{256}, std::size_t{260},
+        std::size_t{348}, std::size_t{1040}, std::size_t{1041},
+        std::size_t{1391}, std::size_t{1392}, std::size_t{1400}}) {
     const auto x = random_spectrum(n, n);
     for (const auto dir : {Direction::kForward, Direction::kInverse}) {
       std::vector<Complex> expect(n);
@@ -349,6 +392,45 @@ TEST(SimdFft, Plan2dBitIdenticalAcrossTiers) {
   }
 }
 
+// The serve-mix tile geometry, whose axes are 2^2*5*13 and 2^2*3*29: both
+// large odd radices land at the m = 1 leaf. Complex and r2c/c2r modes.
+TEST(SimdFft, TileGeometry260x348BitIdenticalAcrossTiersInBothModes) {
+  const std::size_t h = 260, w = 348, sw = w / 2 + 1;
+  Rng rng(260348);
+  std::vector<double> x(h * w);
+  for (auto& v : x) v = rng.normal();
+  std::vector<Complex> xc(x.begin(), x.end());
+  std::vector<Complex> expect_full(h * w), expect_half(h * sw);
+  std::vector<double> expect_back(h * w);
+  {
+    ScopedKernelDispatch forced(KernelDispatch::kScalar);
+    fft::Plan2d(h, w, Direction::kForward)
+        .execute(xc.data(), expect_full.data());
+    fft::PlanR2c2d(h, w).execute(x.data(), expect_half.data());
+    fft::PlanC2r2d(h, w).execute(expect_half.data(), expect_back.data());
+  }
+  for (const auto tier : kForcedTiers) {
+    ScopedKernelDispatch forced(tier);
+    std::vector<Complex> full(h * w), half(h * sw);
+    std::vector<double> back(h * w);
+    fft::Plan2d(h, w, Direction::kForward).execute(xc.data(), full.data());
+    fft::PlanR2c2d(h, w).execute(x.data(), half.data());
+    fft::PlanC2r2d(h, w).execute(half.data(), back.data());
+    const char* name = common::dispatch_name(tier);
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      ASSERT_EQ(expect_full[i].real(), full[i].real()) << name << " i=" << i;
+      ASSERT_EQ(expect_full[i].imag(), full[i].imag()) << name << " i=" << i;
+    }
+    for (std::size_t i = 0; i < half.size(); ++i) {
+      ASSERT_EQ(expect_half[i].real(), half[i].real()) << name << " i=" << i;
+      ASSERT_EQ(expect_half[i].imag(), half[i].imag()) << name << " i=" << i;
+    }
+    for (std::size_t i = 0; i < back.size(); ++i) {
+      ASSERT_EQ(expect_back[i], back[i]) << name << " i=" << i;
+    }
+  }
+}
+
 TEST(SimdFft, RealTransformsBitIdenticalAcrossTiers) {
   for (const auto& [h, w] : {std::pair<std::size_t, std::size_t>{26, 34},
                             {29, 37},   // odd width: untangle fallback
@@ -391,9 +473,9 @@ TEST(SimdFft, RealTransformsBitIdenticalAcrossTiers) {
 
 TEST(SimdWisdom, RememberedTierRoundTripsThroughTheFile) {
   fft::wisdom_clear();
-  fft::wisdom_remember(240, Direction::kForward, {8, 6, 5},
+  fft::wisdom_remember(240, Direction::kForward, {5, 3, 4, 4},
                        SimdTier::kScalar);
-  fft::wisdom_remember(240, Direction::kInverse, {8, 6, 5});  // unspecified
+  fft::wisdom_remember(240, Direction::kInverse, {5, 3, 4, 4});  // unspecified
   const std::string path = "simd_wisdom_" + std::to_string(getpid()) + ".txt";
   fft::wisdom_save(path);
   fft::wisdom_clear();
@@ -402,7 +484,7 @@ TEST(SimdWisdom, RememberedTierRoundTripsThroughTheFile) {
   const auto fwd = fft::wisdom_lookup_entry(240, Direction::kForward);
   ASSERT_TRUE(fwd.has_value());
   EXPECT_EQ(fwd->tier, static_cast<int>(SimdTier::kScalar));
-  EXPECT_EQ(fwd->factors, (std::vector<int>{8, 6, 5}));
+  EXPECT_EQ(fwd->factors, (std::vector<int>{5, 3, 4, 4}));
   const auto inv = fft::wisdom_lookup_entry(240, Direction::kInverse);
   ASSERT_TRUE(inv.has_value());
   EXPECT_EQ(inv->tier, fft::kTierUnspecified);

@@ -46,6 +46,21 @@ TEST_F(WisdomTest, RejectsInvalidFactorizations) {
                InvalidArgument);  // 37 > direct-radix limit
 }
 
+TEST_F(WisdomTest, RejectsEvenRadicesWithoutAButterfly) {
+  // Only 2, 4 and odd radices have butterflies; 6, 8, ... must not plan.
+  EXPECT_THROW(wisdom_remember(24, Direction::kForward, {6, 4}),
+               InvalidArgument);
+  EXPECT_THROW(wisdom_remember(24, Direction::kForward, {8, 3}),
+               InvalidArgument);
+  EXPECT_THROW(wisdom_remember(60, Direction::kForward, {10, 6}),
+               InvalidArgument);
+  EXPECT_FALSE(wisdom_lookup(24, Direction::kForward).has_value());
+  EXPECT_NO_THROW(wisdom_remember(24, Direction::kForward, {2, 4, 3}));
+  // And a wisdom file carrying one is rejected like any invalid entry.
+  std::ofstream(path()) << "# hybridstitch fft wisdom v2\n48 0 -1 8 6\n";
+  EXPECT_THROW(wisdom_load(path()), IoError);
+}
+
 TEST_F(WisdomTest, MeasuredPlanningRecordsWisdom) {
   EXPECT_EQ(wisdom_size(), 0u);
   Plan1d plan(240, Direction::kForward, Rigor::kMeasure);
