@@ -175,10 +175,9 @@ int main(int argc, char** argv) {
     stitch::StitchOptions o = options;
     o.gpu_count = 2;
     o.faults = delay_us > 0 ? &faults : nullptr;
-    stitch::ResourceSet rs = hybrid;
-    rs.steal_threshold = steal;
+    o.steal_threshold = steal;
     Stopwatch stopwatch;
-    stitch::stitch(rs, provider, o);
+    stitch::stitch(hybrid, provider, o);
     return stopwatch.seconds();
   };
 

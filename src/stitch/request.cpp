@@ -38,22 +38,6 @@ bool is_pipelined(Backend backend) {
          backend == Backend::kPipelinedGpu;
 }
 
-/// Mirrors the pipelined-GPU partition: contiguous row bands, one per
-/// effective GPU, a halo row prepended to every band but the first.
-std::vector<img::GridLayout> gpu_bands(const img::GridLayout& layout,
-                                       std::size_t gpu_count) {
-  const std::size_t gpus =
-      std::max<std::size_t>(1, std::min(gpu_count, layout.rows));
-  std::vector<img::GridLayout> bands;
-  bands.reserve(gpus);
-  for (std::size_t g = 0; g < gpus; ++g) {
-    const RowBand rows = row_band(layout.rows, g, gpus);
-    bands.push_back(img::GridLayout{rows.end - rows.begin + (g > 0 ? 1 : 0),
-                                    layout.cols});
-  }
-  return bands;
-}
-
 }  // namespace
 
 void StitchRequest::validate() const {
@@ -72,18 +56,6 @@ void StitchRequest::validate() const {
          "must be >= 1 (got " + std::to_string(o.min_overlap_px) + ")");
   }
 
-  // --- hybrid scheduler knobs (scheduler.hpp).
-  if (o.gpu_batch_pairs < 1) {
-    fail("gpu_batch_pairs",
-         "must be >= 1 (1 = per-pair dispatch, got " +
-             num(o.gpu_batch_pairs) + ")");
-  }
-  if (o.use_p2p && o.steal_threshold > 0) {
-    fail("steal_threshold",
-         "incompatible with use_p2p: a stolen boundary pair would bypass "
-         "the halo transform's cross-device release protocol");
-  }
-
   // --- thread counts, scoped to the backends that consume them.
   if (uses_worker_threads(backend) && o.threads < 1) {
     fail("threads", "must be >= 1 for backend " + backend_name(backend));
@@ -91,28 +63,6 @@ void StitchRequest::validate() const {
   if (is_pipelined(backend) && o.read_threads < 1) {
     fail("read_threads",
          "must be >= 1 for backend " + backend_name(backend));
-  }
-
-  // --- pool sizing against the traversal's working set (the paper's "pool
-  // must exceed the smallest dimension of the image grid" rule,
-  // generalized per traversal).
-  const std::size_t ws = traversal_working_set(layout, o.traversal);
-  if (backend == Backend::kPipelinedCpu && o.pool_buffers > 0 &&
-      o.pool_buffers <= ws) {
-    fail("pool_buffers",
-         "pool of " + num(o.pool_buffers) + " cannot cover traversal " +
-             traversal_name(o.traversal) + "'s working set of " + num(ws) +
-             " on a " + num(layout.rows) + "x" + num(layout.cols) +
-             " grid; need > " + num(ws));
-  }
-  if (backend == Backend::kSimpleGpu) {
-    const std::size_t pool = pool_size(layout, o.traversal, o.pool_buffers);
-    if (pool < ws + 2) {
-      fail("pool_buffers",
-           "pool of " + num(pool) + " cannot cover traversal " +
-               traversal_name(o.traversal) + "'s working set of " + num(ws) +
-               " plus an NCC working buffer; need >= " + num(ws + 2));
-    }
   }
 
   // --- GPU pipeline invariants.
@@ -131,20 +81,11 @@ void StitchRequest::validate() const {
            "requires gpu_count > 1 (got " + num(o.gpu_count) +
                "): peer-to-peer halo sharing needs a neighbouring device");
     }
-    if (o.pool_buffers > 0) {
-      for (const img::GridLayout& band : gpu_bands(layout, o.gpu_count)) {
-        const std::size_t band_ws = traversal_working_set(band, o.traversal);
-        if (o.pool_buffers <= band_ws) {
-          fail("pool_buffers",
-               "pool of " + num(o.pool_buffers) +
-                   " cannot cover traversal " + traversal_name(o.traversal) +
-                   "'s per-band working set of " + num(band_ws) + " (band " +
-                   num(band.rows) + "x" + num(band.cols) + "); need > " +
-                   num(band_ws));
-        }
-      }
-    }
   }
+
+  // --- the scheduler's shape rule: scheduling knobs, and pool sizing
+  // against the traversal's working set per executor band.
+  check_shape(ResourceSet::for_backend(backend, o), layout, o);
 
   // --- fault-tolerance fields.
   if (deadline_ms < 0) {
@@ -213,62 +154,6 @@ void StitchRequest::validate() const {
 
 namespace {
 
-std::size_t pool_bytes_for(const StitchRequest& request, Backend backend) {
-  const TileProvider* provider = request.provider;
-  const StitchOptions& options = request.options;
-  const img::GridLayout layout = provider->layout();
-  const std::size_t h = provider->tile_height();
-  const std::size_t w = provider->tile_width();
-  // Half-spectrum transforms hold h*(w/2+1) bins instead of h*w — the
-  // real-FFT path halves the dominant term of every backend's footprint.
-  const std::size_t spectrum_count =
-      options.use_real_fft ? h * (w / 2 + 1) : h * w;
-  const std::size_t transform_bytes = spectrum_count * sizeof(fft::Complex);
-  const std::size_t tile_bytes = h * w * sizeof(std::uint16_t);
-  const std::size_t ws = traversal_working_set(layout, options.traversal);
-
-  switch (backend) {
-    case Backend::kNaivePairwise:
-      // Two tiles + both transforms + the correlation surface per pair.
-      return 2 * tile_bytes + 3 * transform_bytes;
-    case Backend::kSimpleCpu:
-      return (ws + 1) * (transform_bytes + tile_bytes) + transform_bytes;
-    case Backend::kMtCpu: {
-      // Each band closes pairs independently; charge one in-flight scratch
-      // transform per worker on top of the shared cache's working set.
-      const std::size_t bands = std::max<std::size_t>(
-          1, std::min(options.threads, layout.rows));
-      return (ws + bands) * (transform_bytes + tile_bytes) +
-             bands * transform_bytes;
-    }
-    case Backend::kPipelinedCpu: {
-      const std::size_t slots =
-          pool_size(layout, options.traversal, options.pool_buffers);
-      return slots * (transform_bytes + tile_bytes) +
-             options.threads * transform_bytes;
-    }
-    case Backend::kSimpleGpu: {
-      const std::size_t pool =
-          pool_size(layout, options.traversal, options.pool_buffers);
-      // Device pool + host tiles pinned alongside + staging + reduce.
-      return pool * (transform_bytes + tile_bytes) + 2 * transform_bytes;
-    }
-    case Backend::kPipelinedGpu: {
-      std::size_t total = 0;
-      for (const img::GridLayout& band :
-           gpu_bands(layout, options.gpu_count)) {
-        const std::size_t pool =
-            pool_size(band, options.traversal, options.pool_buffers);
-        total += (pool + 2) * transform_bytes  // forward pool + NCC pool
-                 + pool * tile_bytes           // host pixels for the CCFs
-                 + 8 * tile_bytes;             // bounded reader queue
-      }
-      return total;
-    }
-  }
-  return 0;
-}
-
 /// Computed (not merely settled) pairs in a table.
 std::size_t computed_pairs(const DisplacementTable& table) {
   std::size_t n = 0;
@@ -312,10 +197,12 @@ std::size_t StitchRequest::predicted_pool_bytes() const {
   HS_REQUIRE(provider != nullptr, "provider must not be null");
   // A job that may fall back must fit whichever backend in its chain is
   // hungriest — the serve layer admits against the worst case.
-  std::size_t bytes = pool_bytes_for(*this, backend);
-  for (const Backend fb : fallback) {
-    bytes = std::max(bytes, pool_bytes_for(*this, fb));
-  }
+  const auto price = [&](Backend b) {
+    return shape_pool_bytes(ResourceSet::for_backend(b, options), *provider,
+                            options);
+  };
+  std::size_t bytes = price(backend);
+  for (const Backend fb : fallback) bytes = std::max(bytes, price(fb));
   return bytes;
 }
 

@@ -2,8 +2,9 @@
 //
 // A StitchRequest bundles everything one stitch job needs — backend, tile
 // provider, options — behind a single validate() that centralizes every
-// option invariant the backends used to enforce ad hoc (thread counts, pool
-// sizing against the traversal working set, extension-flag combinations).
+// option invariant the backends used to enforce ad hoc (thread counts,
+// extension-flag combinations, and — through the scheduler's shape rule —
+// pool sizing against the traversal working set).
 // Validation errors are InvalidArgument whose message begins with the
 // offending field's name, so a service can map them back to request fields.
 //
@@ -70,9 +71,9 @@ struct StitchRequest {
   void validate() const;
 
   /// Predicted peak transform-pool footprint in bytes (host + device), the
-  /// quantity the serve layer admits jobs against. Mirrors each backend's
-  /// actual pool sizing rule; conservative for the bookkeeping overheads it
-  /// rounds up.
+  /// quantity the serve layer admits jobs against: the scheduler's own
+  /// shape rule priced for the hungriest backend in the attempt chain
+  /// (shape_pool_bytes in scheduler.hpp).
   std::size_t predicted_pool_bytes() const;
 };
 

@@ -3,6 +3,8 @@
 //
 //   WorkPool            lanes of pair tasks + the claim/steal protocol
 //   pair helpers        pair enumeration, the naive host pair, table writes
+//   ExecutorShape       the shape rule: executor bands and pool slots
+//   DeviceFft           one device's in-place forward/inverse FFT plans
 //   run_cpu             CPU-only shapes (naive, simple-, mt-, pipelined-cpu)
 //   run_gpu_sync        the synchronous single-stream Simple-GPU shape
 //   run_gpu_async       pipelined GPU shapes: per GPU one read, copy, fft,
@@ -10,7 +12,7 @@
 //                       displacement bodies issue groups of up to k items
 //                       (k = 1 is per-item dispatch), plus the hybrid CPU
 //                       band and stolen-pair execution
-//   ResourceSet / stitch()
+//   ResourceSet presets, the shape rule's check and price, stitch()
 #include "stitch/scheduler.hpp"
 
 #include <algorithm>
@@ -32,7 +34,6 @@
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_util.hpp"
-#include "fft/plan_cache.hpp"
 #include "metrics/wellknown.hpp"
 #include "pipeline/pipeline.hpp"
 #include "stitch/ccf.hpp"
@@ -289,11 +290,109 @@ void record_pair(DisplacementTable& table, const StitchOptions& options,
 }
 
 // ---------------------------------------------------------------------------
+// The shape rule: how a ResourceSet splits the grid into executor bands and
+// how many transform slots each executor's pool holds. The executors
+// allocate from it; check_shape() and shape_pool_bytes() check and price it.
+// ---------------------------------------------------------------------------
+
+struct ExecutorShape {
+  /// One asynchronous GPU's share: the rows whose pairs it owns (a pair
+  /// belongs to the band of its south/east tile), the tiles it reads (those
+  /// rows plus, below the first band, the halo row above), and its
+  /// forward-transform pool slots.
+  struct GpuBand {
+    RowBand rows;
+    img::GridLayout layout;
+    std::size_t pool_slots = 0;
+  };
+
+  /// Per asynchronous GPU: NCC buffers, kept apart from the forward pool so
+  /// the copier can never starve the displacement stage (the deadlock a
+  /// single shared pool invites), and tiles read ahead of the copier.
+  static constexpr std::size_t kNccSlots = 2;
+  static constexpr std::size_t kReadAheadTiles = 8;
+
+  /// Asynchronous GPU bands in device order; empty for CPU-only and
+  /// synchronous shapes.
+  std::vector<GpuBand> gpu_bands;
+  /// The hybrid CPU workers' rows, below every GPU band; empty if none.
+  RowBand cpu_band;
+  /// Whole-grid pool slots: run_gpu_sync's device pool, and the prefetch
+  /// budget of run_cpu's concurrent shapes.
+  std::size_t pool_slots = 0;
+};
+
+ExecutorShape plan_shape(const ResourceSet& rs, const img::GridLayout& layout,
+                         const StitchOptions& options) {
+  ExecutorShape shape;
+  shape.pool_slots = pool_size(layout, options.traversal, options.pool_buffers);
+  if (rs.gpu_devices == 0 || rs.synchronous_gpu) return shape;
+  // Contiguous row bands, one per effective GPU. Hybrid shape: CPU workers
+  // take the bottom band as one more partition unit — an equal-rows static
+  // split that stealing refines at runtime. With cpu_workers == 0 this is
+  // the legacy per-GPU split.
+  const std::size_t gpus =
+      std::max<std::size_t>(1, std::min(rs.gpu_devices, layout.rows));
+  const bool cpu_band = rs.cpu_workers > 0 && layout.rows > gpus;
+  const std::size_t units = gpus + (cpu_band ? 1 : 0);
+  for (std::size_t g = 0; g < gpus; ++g) {
+    const RowBand rows = row_band(layout.rows, g, units);
+    const img::GridLayout band{rows.end - rows.begin + (g > 0 ? 1 : 0),
+                               layout.cols};
+    shape.gpu_bands.push_back(ExecutorShape::GpuBand{
+        rows, band,
+        pool_size(band, options.traversal, options.pool_buffers)});
+  }
+  if (cpu_band) shape.cpu_band = row_band(layout.rows, gpus, units);
+  return shape;
+}
+
+/// One device's FFT plan pair for the configured spectrum mode: c2c both
+/// ways, or the padded in-place r2c forward and half-spectrum c2r inverse.
+/// Each transform runs in place on the calling stream worker under the
+/// device's FFT lock rule (vgpu/vfft.hpp).
+class DeviceFft {
+ public:
+  DeviceFft(vgpu::Device& device, std::size_t h, std::size_t w, bool real_fft,
+            fft::Rigor rigor) {
+    if (real_fft) {
+      forward_r2c_.emplace(device, h, w, rigor);
+      inverse_c2r_.emplace(device, h, w, rigor);
+    } else {
+      forward_.emplace(device, h, w, fft::Direction::kForward, rigor);
+      inverse_.emplace(device, h, w, fft::Direction::kInverse, rigor);
+    }
+  }
+
+  void forward_inplace(fft::Complex* data) const {
+    if (forward_r2c_) {
+      forward_r2c_->execute_inplace_padded(data);
+    } else {
+      forward_->execute_inplace(data);
+    }
+  }
+  void inverse_inplace(fft::Complex* data) const {
+    if (inverse_c2r_) {
+      inverse_c2r_->execute_inplace_half(data);
+    } else {
+      inverse_->execute_inplace(data);
+    }
+  }
+
+ private:
+  std::optional<vgpu::VFftPlan2d> forward_;
+  std::optional<vgpu::VFftPlan2d> inverse_;
+  std::optional<vgpu::VFftPlanR2c2d> forward_r2c_;
+  std::optional<vgpu::VFftPlanC2r2d> inverse_c2r_;
+};
+
+// ---------------------------------------------------------------------------
 // CPU-only shapes: naive (no cache), simple-cpu (1 worker, inline),
 // mt-cpu (N workers), pipelined-cpu (N workers + prefetch threads).
 // ---------------------------------------------------------------------------
 
-StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
+StitchResult run_cpu(const ResourceSet& rs, const ExecutorShape& shape,
+                     const TileProvider& provider,
                      const StitchOptions& options) {
   const img::GridLayout layout = provider.layout();
   const WarmFilter warm(options.warm_start);
@@ -324,7 +423,7 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
   metrics::Histogram& pair_latency =
       metrics::wellknown::pair_latency_us(rs.label);
 
-  WorkPool work(rs.steal_threshold, options.recorder);
+  WorkPool work(options.steal_threshold, options.recorder);
   const std::size_t lane = work.add_lane("cpu", WorkPool::Kind::kCpu);
   for (const PairTask& task :
        pairs_in_closure_order(layout, options.traversal, warm)) {
@@ -393,8 +492,6 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
     // Concurrent shapes: a worker stage claiming from the shared lane, plus
     // an optional prefetch stage (the Pipelined-CPU reader) warming the
     // cache ahead of the workers under a fixed in-flight budget.
-    const std::size_t slots =
-        pool_size(layout, options.traversal, options.pool_buffers);
     std::vector<img::TilePos> prefetch_list;
     if (rs.prefetch_threads > 0) {
       // Tiles whose every pair a warm start settled have degree 0: they are
@@ -420,7 +517,7 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
           // Back-pressure: a prefetcher running far ahead of the workers
           // would pin the whole grid in memory; cap live transforms at the
           // CPU "pool" size instead (the SlotLimiter analogue).
-          while (cache->live_transforms() >= slots) {
+          while (cache->live_transforms() >= shape.pool_slots) {
             throw_if_cancelled(options);
             if (pipeline.cancelled()) return;
             std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -467,7 +564,8 @@ StitchResult run_cpu(const ResourceSet& rs, const TileProvider& provider,
 // after every command — the pathology profiled in the paper's Fig 7.
 // ---------------------------------------------------------------------------
 
-StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
+StitchResult run_gpu_sync(const ResourceSet& rs, const ExecutorShape& shape,
+                          const TileProvider& provider,
                           const StitchOptions& options) {
   const img::GridLayout layout = provider.layout();
   const WarmFilter warm(options.warm_start);
@@ -490,13 +588,11 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
   config.faults = options.faults;
   config.cancel = options.cancel;
   vgpu::Device device(config);
+  const DeviceFft transforms(device, h, w, real_fft, options.rigor);
   vgpu::Stream stream(device, "default");
 
-  // Pool sizing (working set + NCC buffer) is enforced up front by
-  // StitchRequest::validate().
-  vgpu::BufferPool pool(
-      device, pool_size(layout, options.traversal, options.pool_buffers),
-      buffer_bytes);
+  // check_shape() has sized the pool for the working set + NCC buffer.
+  vgpu::BufferPool pool(device, shape.pool_slots, buffer_bytes);
   const std::size_t peaks_k = std::max<std::size_t>(1, options.peak_candidates);
   vgpu::DeviceBuffer reduce_out =
       device.alloc(peaks_k * sizeof(vgpu::MaxAbsResult));
@@ -535,20 +631,8 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     stream.synchronize();
     // FFT in place on the default stream, then wait again.
     fft::Complex* data = state.transform.as<fft::Complex>();
-    if (real_fft) {
-      auto plan = fft::PlanCache::instance().plan_r2c_2d(h, w, options.rigor);
-      stream.enqueue("fft2d_r2c", [plan, data, &device] {
-        std::lock_guard<std::mutex> lock(device.fft_mutex());
-        plan->execute_inplace_padded(data);
-      });
-    } else {
-      auto plan = fft::PlanCache::instance().plan_2d(
-          h, w, fft::Direction::kForward, options.rigor);
-      stream.enqueue("fft2d", [plan, data, &device] {
-        std::lock_guard<std::mutex> lock(device.fft_mutex());
-        plan->execute_inplace(data);
-      });
-    }
+    stream.enqueue(real_fft ? "fft2d_r2c" : "fft2d",
+                   [&transforms, data] { transforms.forward_inplace(data); });
     stream.synchronize();
     counts.bump(counts.forward_ffts);
     counts.bump(counts.transform_bins, bins);
@@ -567,15 +651,6 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
       live -= 1;
     }
   };
-
-  auto plan_inverse =
-      real_fft ? std::shared_ptr<const fft::Plan2d>()
-               : fft::PlanCache::instance().plan_2d(
-                     h, w, fft::Direction::kInverse, options.rigor);
-  auto plan_c2r = real_fft
-                      ? fft::PlanCache::instance().plan_c2r_2d(h, w,
-                                                               options.rigor)
-                      : std::shared_ptr<const fft::PlanC2r2d>();
 
   metrics::Histogram& pair_latency =
       metrics::wellknown::pair_latency_us(rs.label);
@@ -596,17 +671,8 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
     stream.synchronize();
     counts.bump(counts.ncc_multiplies);
 
-    if (real_fft) {
-      stream.enqueue("ifft2d_c2r", [plan_c2r, fc, &device] {
-        std::lock_guard<std::mutex> lock(device.fft_mutex());
-        plan_c2r->execute_inplace_half(fc);
-      });
-    } else {
-      stream.enqueue("ifft2d", [plan_inverse, fc, &device] {
-        std::lock_guard<std::mutex> lock(device.fft_mutex());
-        plan_inverse->execute_inplace(fc);
-      });
-    }
+    stream.enqueue(real_fft ? "ifft2d_c2r" : "ifft2d",
+                   [&transforms, fc] { transforms.inverse_inplace(fc); });
     stream.synchronize();
     counts.bump(counts.inverse_ffts);
 
@@ -647,7 +713,7 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const TileProvider& provider,
   // time reproduces the legacy traversal double-loop exactly (and with only
   // one lane, steal instants cannot occur — the trace lane set stays
   // {"gpu0.default"}).
-  WorkPool work(rs.steal_threshold, options.recorder);
+  WorkPool work(options.steal_threshold, options.recorder);
   const std::size_t lane = work.add_lane("gpu0", WorkPool::Kind::kGpu);
   for (const PairTask& task :
        pairs_in_closure_order(layout, options.traversal, warm)) {
@@ -759,11 +825,7 @@ struct GpuPipeline {
   std::unique_ptr<vgpu::Stream> disp_stream;
   std::unique_ptr<vgpu::BufferPool> pool;      // forward-transform buffers
   std::unique_ptr<vgpu::BufferPool> ncc_pool;  // backward (NCC) buffers
-  // The device's FFT plans, one pair per spectrum mode.
-  std::unique_ptr<vgpu::VFftPlan2d> forward;   // complex mode
-  std::unique_ptr<vgpu::VFftPlan2d> inverse;   // complex mode
-  std::unique_ptr<vgpu::VFftPlanR2c2d> forward_r2c;  // real-FFT mode
-  std::unique_ptr<vgpu::VFftPlanC2r2d> inverse_c2r;  // real-FFT mode
+  std::optional<DeviceFft> transforms;
 
   std::vector<img::TilePos> tiles_to_read;     // band (+ halo unless p2p)
   std::vector<PairTask> owned_pairs;
@@ -775,7 +837,7 @@ struct GpuPipeline {
 
   // Stage 1 -> 2, bounded: the reader stalls rather than pulling the whole
   // grid into host memory ahead of the copier.
-  pipe::BoundedQueue<TileWork> q_read{8};
+  pipe::BoundedQueue<TileWork> q_read{ExecutorShape::kReadAheadTiles};
   pipe::BoundedQueue<img::TilePos> q_fft;   // stage 2 -> 3
   pipe::BoundedQueue<img::TilePos> q_ready; // fft/p2p completion -> stage 4
 
@@ -785,23 +847,6 @@ struct GpuPipeline {
 
   std::atomic<std::size_t> live{0};
   std::atomic<std::size_t> peak{0};
-
-  /// In-place forward/inverse transforms on the calling stream worker,
-  /// under the device's FFT lock rule.
-  void forward_inplace(fft::Complex* data) const {
-    if (forward_r2c != nullptr) {
-      forward_r2c->execute_inplace_padded(data);
-    } else {
-      forward->execute_inplace(data);
-    }
-  }
-  void inverse_inplace(fft::Complex* data) const {
-    if (inverse_c2r != nullptr) {
-      inverse_c2r->execute_inplace_half(data);
-    } else {
-      inverse->execute_inplace(data);
-    }
-  }
 
   void close_ready_when_done() {
     if (ready_producers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -878,7 +923,8 @@ void finish_pair(GpuPipeline* gpu, const img::GridLayout& layout,
   release_tile(gpu, layout, in.pair.moved);
 }
 
-StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
+StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
+                           const TileProvider& provider,
                            const StitchOptions& options) {
   const img::GridLayout layout = provider.layout();
   const WarmFilter warm(options.warm_start);
@@ -893,23 +939,16 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   const std::size_t bins = real_fft ? h * (w / 2 + 1) : count;
   const std::size_t buffer_bytes = bins * sizeof(fft::Complex);
 
-  const std::size_t gpu_count =
-      std::max<std::size_t>(1, std::min(rs.gpu_devices, layout.rows));
+  const std::size_t gpu_count = shape.gpu_bands.size();
   const std::size_t fft_stream_count =
       std::max<std::size_t>(1, options.fft_streams);
   const bool use_p2p = options.use_p2p && gpu_count > 1;
-  // Hybrid shape: CPU workers take the bottom row band as one more
-  // partition unit, GPUs the rest — an equal-rows static split that
-  // stealing refines at runtime. With cpu_workers == 0 the partition is
-  // identical to the legacy per-GPU split.
-  const bool cpu_band_exists = rs.cpu_workers > 0 && layout.rows > gpu_count;
-  const std::size_t units = gpu_count + (cpu_band_exists ? 1 : 0);
   // Group sizes: the displacement stage claims up to pair_k pairs per
   // launch, the copy and fft stages up to tile_k tiles per command. The p2p
   // halo protocol needs the per-tile copy/fft interleaving, so under p2p
   // tiles travel alone. A group size of 1 is per-item dispatch, under the
   // per-item labels.
-  const std::size_t pair_k = std::max<std::size_t>(1, rs.gpu_batch_pairs);
+  const std::size_t pair_k = options.gpu_batch_pairs;
   const std::size_t tile_k = use_p2p ? 1 : pair_k;
   const std::string group_suffix = tile_k > 1 ? "_batched" : "";
   const std::string h2d_label = "memcpy_h2d" + group_suffix;
@@ -922,25 +961,24 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
   // band workers and stolen pairs. Built lazily — plan setup is not free
   // and pure-GPU runs never touch it.
   FftPipeline host_fftp;
-  if (rs.cpu_workers > 0 || rs.steal_threshold > 0) {
+  if (rs.cpu_workers > 0 || options.steal_threshold > 0) {
     host_fftp = make_fft_pipeline(h, w, options.rigor, options.use_real_fft);
   }
 
   HaloExchange exchange;
 
-  // --- Partition: contiguous row bands; a pair belongs to the band of its
-  // south/east tile; boundary (north) pairs pull a halo row from above.
+  // --- Partition: the shape's row bands; boundary (north) pairs pull a
+  // halo row from above.
   std::vector<std::unique_ptr<GpuPipeline>> gpus;
   for (std::size_t g = 0; g < gpu_count; ++g) {
     auto gpu = std::make_unique<GpuPipeline>();
     gpu->id = g;
-    const RowBand rows = row_band(layout.rows, g, units);
-
-    const img::GridLayout band{rows.end - rows.begin + (g > 0 ? 1 : 0),
-                               layout.cols};
+    const ExecutorShape::GpuBand& band = shape.gpu_bands[g];
+    const RowBand rows = band.rows;
     const std::size_t halo_begin = g > 0 ? rows.begin - 1 : rows.begin;
     // Visit the band in the configured traversal order (shifted into it).
-    for (const img::TilePos local : traversal_order(band, options.traversal)) {
+    for (const img::TilePos local :
+         traversal_order(band.layout, options.traversal)) {
       gpu->tiles_to_read.push_back(
           img::TilePos{halo_begin + local.row, local.col});
     }
@@ -981,28 +1019,11 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
           fft_stream_count == 1 ? "fft" : "fft" + std::to_string(s)));
     }
     gpu->disp_stream = std::make_unique<vgpu::Stream>(*gpu->device, "disp");
-    if (real_fft) {
-      gpu->forward_r2c = std::make_unique<vgpu::VFftPlanR2c2d>(
-          *gpu->device, h, w, options.rigor);
-      gpu->inverse_c2r = std::make_unique<vgpu::VFftPlanC2r2d>(
-          *gpu->device, h, w, options.rigor);
-    } else {
-      gpu->forward = std::make_unique<vgpu::VFftPlan2d>(
-          *gpu->device, h, w, fft::Direction::kForward, options.rigor);
-      gpu->inverse = std::make_unique<vgpu::VFftPlan2d>(
-          *gpu->device, h, w, fft::Direction::kInverse, options.rigor);
-    }
-
-    // Per-band pool sizing (pool > band working set) is enforced up front by
-    // StitchRequest::validate().
+    gpu->transforms.emplace(*gpu->device, h, w, real_fft, options.rigor);
     gpu->pool = std::make_unique<vgpu::BufferPool>(
-        *gpu->device, pool_size(band, options.traversal, options.pool_buffers),
-        buffer_bytes);
-    // Backward-transform buffers are reserved separately so the copier can
-    // never starve the displacement stage of working memory (the pool-
-    // starvation deadlock a single shared pool invites).
-    gpu->ncc_pool =
-        std::make_unique<vgpu::BufferPool>(*gpu->device, 2, buffer_bytes);
+        *gpu->device, band.pool_slots, buffer_bytes);
+    gpu->ncc_pool = std::make_unique<vgpu::BufferPool>(
+        *gpu->device, ExecutorShape::kNccSlots, buffer_bytes);
 
     const std::string qprefix = "pipelined_gpu.g" + std::to_string(g) + ".";
     gpu->q_read.instrument(qprefix + "read");
@@ -1030,7 +1051,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     gpus.push_back(std::move(gpu));
   }
 
-  WorkPool work(rs.steal_threshold, options.recorder);
+  WorkPool work(options.steal_threshold, options.recorder);
   std::vector<std::size_t> gpu_lane(gpu_count);
   std::vector<GpuPipeline*> lane_owner;  // per lane; nullptr = CPU lane
   for (std::size_t g = 0; g < gpu_count; ++g) {
@@ -1048,12 +1069,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
     // pairs on the band's first row reach into the last GPU band; the CPU
     // worker loads both tiles itself, so no cross-executor handoff is
     // needed.
-    if (cpu_band_exists) {
-      for (const PairTask& task :
-           pairs_in_rows(layout, row_band(layout.rows, gpu_count, units),
-                         warm)) {
-        work.push(cpu_lane, task);
-      }
+    for (const PairTask& task : pairs_in_rows(layout, shape.cpu_band, warm)) {
+      work.push(cpu_lane, task);
     }
     work.close(cpu_lane);
   }
@@ -1284,7 +1301,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
               }
             }
             fft_stream.enqueue(fft_label, [gpu, datas = std::move(datas)] {
-              for (fft::Complex* data : datas) gpu->forward_inplace(data);
+              for (fft::Complex* data : datas) gpu->transforms->forward_inplace(data);
             });
             counts.bump(counts.forward_ffts, group.size());
             counts.bump(counts.transform_bins, group.size() * bins);
@@ -1374,7 +1391,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
                 vgpu::k_ncc_half(job.fft_reference, job.fft_moved, fc, bins);
               });
               gpu->disp_stream->enqueue(
-                  ifft_label, [gpu, fc] { gpu->inverse_inplace(fc); });
+                  ifft_label, [gpu, fc] { gpu->transforms->inverse_inplace(fc); });
               gpu->disp_stream->enqueue(
                   "max_reduce",
                   [gpu, grid, fc, count, peaks_k, real_fft,
@@ -1404,7 +1421,7 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
                         jobs.data(), jobs.size(), fc, bins, count, peaks_k,
                         real_fft,
                         [gpu](fft::Complex* data) {
-                          gpu->inverse_inplace(data);
+                          gpu->transforms->inverse_inplace(data);
                         },
                         [&](std::size_t i,
                             std::vector<vgpu::MaxAbsResult> peaks) {
@@ -1509,8 +1526,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const TileProvider& provider,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Public API: ResourceSet factories and stitch(ResourceSet), the scheduler's
-// one entry point.
+// Public API: ResourceSet presets, the shape rule's check and price, and
+// stitch(ResourceSet), the scheduler's one entry point.
 // ---------------------------------------------------------------------------
 
 ResourceSet ResourceSet::for_backend(Backend backend,
@@ -1541,69 +1558,129 @@ ResourceSet ResourceSet::for_backend(Backend backend,
       rs.gpu_devices = std::max<std::size_t>(1, o.gpu_count);
       break;
   }
-  rs.steal_threshold = o.steal_threshold;
-  rs.gpu_batch_pairs = std::max<std::size_t>(1, o.gpu_batch_pairs);
   rs.label = backend_name(backend);
   return rs;
 }
 
-std::string ResourceSet::describe() const {
-  std::string s;
-  if (cpu_workers > 0) {
-    s += std::to_string(cpu_workers) + " cpu";
-    if (prefetch_threads > 0) {
-      s += " + " + std::to_string(prefetch_threads) + " prefetch";
+void check_shape(const ResourceSet& rs, const img::GridLayout& layout,
+                 const StitchOptions& o) {
+  const auto reject = [](const std::string& field, const std::string& what) {
+    throw InvalidArgument(field + ": " + what);
+  };
+  const auto num = [](std::size_t v) { return std::to_string(v); };
+  if (rs.cpu_workers == 0 && rs.gpu_devices == 0) {
+    reject("ResourceSet",
+           "needs at least one executor (cpu_workers or gpu_devices)");
+  }
+  if (rs.prefetch_threads > 0 && !rs.use_transform_cache) {
+    reject("ResourceSet.prefetch_threads",
+           "prefetching warms the transform cache, which "
+           "use_transform_cache = false removes");
+  }
+  if (rs.synchronous_gpu && (rs.gpu_devices != 1 || rs.cpu_workers != 0)) {
+    reject("ResourceSet.synchronous_gpu",
+           "the synchronous shape is exactly one GPU and no CPU workers");
+  }
+  if (o.use_p2p && rs.cpu_workers > 0 && rs.gpu_devices > 0) {
+    reject("ResourceSet",
+           "hybrid CPU+GPU bands are incompatible with use_p2p");
+  }
+  if (o.gpu_batch_pairs < 1) {
+    reject("gpu_batch_pairs", "must be >= 1 (1 = per-pair dispatch, got " +
+                                  num(o.gpu_batch_pairs) + ")");
+  }
+  if (o.use_p2p && o.steal_threshold > 0) {
+    reject("steal_threshold",
+           "incompatible with use_p2p: a stolen boundary pair would bypass "
+           "the halo transform's cross-device release protocol");
+  }
+
+  // Pool sizing against the traversal's working set: the paper's "pool
+  // must exceed the smallest dimension of the image grid" rule,
+  // generalized per traversal and per GPU band.
+  const ExecutorShape shape = plan_shape(rs, layout, o);
+  const std::size_t ws = traversal_working_set(layout, o.traversal);
+  const std::string cover = "pool of " + num(o.pool_buffers) +
+                            " cannot cover traversal " +
+                            traversal_name(o.traversal) + "'s ";
+  if (rs.prefetch_threads > 0 && o.pool_buffers > 0 && o.pool_buffers <= ws) {
+    reject("pool_buffers", cover + "working set of " + num(ws) + " on a " +
+                               num(layout.rows) + "x" + num(layout.cols) +
+                               " grid; need > " + num(ws));
+  }
+  // (A synchronous pool only falls short when pool_buffers sized it.)
+  if (rs.synchronous_gpu && shape.pool_slots < ws + 2) {
+    reject("pool_buffers", cover + "working set of " + num(ws) +
+                               " plus an NCC working buffer; need >= " +
+                               num(ws + 2));
+  }
+  for (const ExecutorShape::GpuBand& band : shape.gpu_bands) {
+    const std::size_t band_ws = traversal_working_set(band.layout, o.traversal);
+    if (o.pool_buffers > 0 && o.pool_buffers <= band_ws) {
+      reject("pool_buffers", cover + "per-band working set of " +
+                                 num(band_ws) + " (band " +
+                                 num(band.layout.rows) + "x" +
+                                 num(band.layout.cols) + "); need > " +
+                                 num(band_ws));
     }
   }
-  if (gpu_devices > 0) {
-    if (!s.empty()) s += " + ";
-    s += std::to_string(gpu_devices) + " gpu";
-    if (synchronous_gpu) s += " (sync)";
+}
+
+std::size_t shape_pool_bytes(const ResourceSet& rs,
+                             const TileProvider& provider,
+                             const StitchOptions& options) {
+  const img::GridLayout layout = provider.layout();
+  const std::size_t h = provider.tile_height();
+  const std::size_t w = provider.tile_width();
+  // Half-spectrum transforms hold h*(w/2+1) bins instead of h*w — the
+  // real-FFT path halves the dominant term of every shape's footprint.
+  const std::size_t spectrum_count =
+      options.use_real_fft ? h * (w / 2 + 1) : h * w;
+  const std::size_t transform_bytes = spectrum_count * sizeof(fft::Complex);
+  const std::size_t tile_bytes = h * w * sizeof(std::uint16_t);
+  // Two tiles + both transforms + the correlation surface: one pair
+  // computed without reuse.
+  const std::size_t naive_pair_bytes = 2 * tile_bytes + 3 * transform_bytes;
+  const ExecutorShape shape = plan_shape(rs, layout, options);
+
+  if (rs.gpu_devices == 0) {
+    if (!rs.use_transform_cache) return naive_pair_bytes;
+    if (rs.prefetch_threads > 0) {
+      return shape.pool_slots * (transform_bytes + tile_bytes) +
+             rs.cpu_workers * transform_bytes;
+    }
+    // Each band closes pairs independently; charge one in-flight scratch
+    // transform per worker on top of the shared cache's working set.
+    const std::size_t ws = traversal_working_set(layout, options.traversal);
+    const std::size_t bands = std::max<std::size_t>(
+        1, std::min(rs.cpu_workers, layout.rows));
+    return (ws + bands) * (transform_bytes + tile_bytes) +
+           bands * transform_bytes;
   }
-  if (!use_transform_cache) s += ", no cache";
-  if (steal_threshold > 0) {
-    s += " (steal>" + std::to_string(steal_threshold) + ")";
+  if (rs.synchronous_gpu) {
+    // Device pool + host tiles pinned alongside + staging + reduce.
+    return shape.pool_slots * (transform_bytes + tile_bytes) +
+           2 * transform_bytes;
   }
-  if (gpu_batch_pairs > 1) {
-    s += " (batch=" + std::to_string(gpu_batch_pairs) + ")";
+  // Hybrid CPU workers compute their band's pairs without reuse.
+  std::size_t total = rs.cpu_workers * naive_pair_bytes;
+  for (const ExecutorShape::GpuBand& band : shape.gpu_bands) {
+    total += (band.pool_slots + ExecutorShape::kNccSlots) * transform_bytes +
+             band.pool_slots * tile_bytes  // host pixels for the CCFs
+             + ExecutorShape::kReadAheadTiles * tile_bytes;
   }
-  return s;
+  return total;
 }
 
 StitchResult stitch(const ResourceSet& rs, const TileProvider& provider,
                     const StitchOptions& options) {
-  if (rs.gpu_batch_pairs < 1) {
-    throw InvalidArgument("ResourceSet.gpu_batch_pairs: must be >= 1");
-  }
-  if (rs.cpu_workers == 0 && rs.gpu_devices == 0) {
-    throw InvalidArgument(
-        "ResourceSet: needs at least one executor (cpu_workers or "
-        "gpu_devices)");
-  }
-  if (rs.prefetch_threads > 0 && !rs.use_transform_cache) {
-    throw InvalidArgument(
-        "ResourceSet.prefetch_threads: prefetching warms the transform "
-        "cache, which use_transform_cache = false removes");
-  }
-  if (rs.synchronous_gpu && (rs.gpu_devices != 1 || rs.cpu_workers != 0)) {
-    throw InvalidArgument(
-        "ResourceSet.synchronous_gpu: the synchronous shape is exactly one "
-        "GPU and no CPU workers");
-  }
-  if (options.use_p2p && rs.steal_threshold > 0) {
-    throw InvalidArgument(
-        "steal_threshold: incompatible with use_p2p (a stolen boundary pair "
-        "would bypass the halo transform's cross-device release protocol)");
-  }
-  if (options.use_p2p && rs.cpu_workers > 0 && rs.gpu_devices > 0) {
-    throw InvalidArgument(
-        "ResourceSet: hybrid CPU+GPU bands are incompatible with use_p2p");
-  }
+  check_shape(rs, provider.layout(), options);
+  const ExecutorShape shape = plan_shape(rs, provider.layout(), options);
   Stopwatch stopwatch;
-  StitchResult result = rs.gpu_devices == 0 ? run_cpu(rs, provider, options)
-                        : rs.synchronous_gpu
-                            ? run_gpu_sync(rs, provider, options)
-                            : run_gpu_async(rs, provider, options);
+  StitchResult result =
+      rs.gpu_devices == 0 ? run_cpu(rs, shape, provider, options)
+      : rs.synchronous_gpu ? run_gpu_sync(rs, shape, provider, options)
+                           : run_gpu_async(rs, shape, provider, options);
   result.backend_used = rs.label;
   result.seconds = stopwatch.seconds();
   return result;

@@ -11,8 +11,10 @@
 // (ResourceSet::for_backend), and hybrid CPU+GPU configurations that no
 // enum value names become expressible.
 //
-// Two extensions ride on the unified loop, both off by default so every
-// legacy configuration stays bit-identical to its pre-scheduler behavior:
+// A ResourceSet names executors only. The two scheduling knobs that ride on
+// the unified loop live in StitchOptions, next to every other option; both
+// are off by default so every legacy configuration stays bit-identical to
+// its pre-scheduler behavior:
 //
 //  * Demand-driven work stealing (steal_threshold > 0): an executor whose
 //    lane runs dry pulls a pair from the deepest other lane — idle vgpu
@@ -34,6 +36,14 @@
 //    (forward_ffts, ncc_multiplies, ...) are bumped per pair regardless of
 //    grouping; only hs_vgpu_stream_enqueues_total shrinks.
 //
+// Transform memory is decided once, by the scheduler's shape rule: how the
+// grid splits into executor bands, how many transform slots each
+// executor's pool holds, whether those pools cover the traversal's working
+// set (check_shape), and what the shape costs in bytes (shape_pool_bytes).
+// The executors allocate from it, stitch(ResourceSet) checks it on entry,
+// and StitchRequest's validate() and predicted_pool_bytes() reach it
+// through for_backend.
+//
 // Observability: hs_sched_steals_total{direction}, hs_sched_batch_size,
 // hs_sched_executor_busy{executor}, and steal instants in the "sched" trace
 // lane (created lazily, so steal-free runs record no extra lane).
@@ -45,9 +55,10 @@
 
 namespace hs::stitch {
 
-/// The executors a stitch runs on, plus the scheduling knobs. Legacy
-/// backends map onto these via for_backend(); hybrid shapes (cpu_workers > 0
-/// AND gpu_devices > 0) are reachable through the ResourceSet API only.
+/// The executors a stitch runs on. Legacy backends map onto these via
+/// for_backend(); hybrid shapes (cpu_workers > 0 AND gpu_devices > 0) are
+/// reachable through the ResourceSet API only. The scheduling knobs
+/// (steal_threshold, gpu_batch_pairs) are StitchOptions fields.
 struct ResourceSet {
   /// CPU pair workers. 0 = GPU-only configuration.
   std::size_t cpu_workers = 1;
@@ -63,29 +74,34 @@ struct ResourceSet {
   /// Simple-GPU mode: one caller thread drives one GPU through a single
   /// default stream, synchronizing after every command (no overlap).
   bool synchronous_gpu = false;
-  /// Work-stealing hysteresis; see StitchOptions::steal_threshold.
-  std::size_t steal_threshold = 0;
-  /// Pairs per grouped vgpu launch; see StitchOptions::gpu_batch_pairs.
-  std::size_t gpu_batch_pairs = 1;
   /// Label for metrics (hs_stitch_pair_latency_us{backend=...}) and
   /// result.backend_used.
   std::string label = "custom";
 
-  /// The ResourceSet a legacy Backend name denotes. steal_threshold and
-  /// gpu_batch_pairs are copied from the options (both default to the
-  /// legacy-exact behavior).
+  /// The ResourceSet a legacy Backend name denotes.
   static ResourceSet for_backend(Backend backend,
                                  const StitchOptions& options);
-
-  /// Human-readable shape, e.g. "2 cpu + 1 prefetch + 2 gpu (steal>1)".
-  std::string describe() const;
 };
+
+/// The shape rule's check: throws InvalidArgument ("<field>: ...") for an
+/// inconsistent ResourceSet, an out-of-range scheduling knob, or a pool
+/// that cannot cover its executor's working set (which would starve the
+/// executor forever).
+void check_shape(const ResourceSet& resources, const img::GridLayout& layout,
+                 const StitchOptions& options);
+
+/// The shape rule's price: peak transform-pool footprint in bytes (host +
+/// device) on the provider's grid and tiles — what the serve layer admits
+/// against. Conservative for the bookkeeping overheads it rounds up.
+std::size_t shape_pool_bytes(const ResourceSet& resources,
+                             const TileProvider& provider,
+                             const StitchOptions& options);
 
 /// Runs phase 1 on the executors `resources` names — the scheduler's one
 /// entry point. Preserves every backend contract: per-pair cancellation
 /// polling, warm-start filtering, ledger recording, fault hooks, and
-/// bit-identical tables in both FFT modes. Throws InvalidArgument for an
-/// inconsistent ResourceSet, and like the legacy backends at runtime
+/// bit-identical tables in both FFT modes. Throws InvalidArgument when
+/// check_shape() rejects the shape, and like the legacy backends at runtime
 /// (IoError, DeviceError, OutOfDeviceMemory, Cancelled, ...); request.cpp's
 /// fallback chains catch the same exceptions they always did.
 StitchResult stitch(const ResourceSet& resources, const TileProvider& provider,

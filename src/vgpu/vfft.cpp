@@ -1,6 +1,5 @@
 #include "vgpu/vfft.hpp"
 
-#include "common/error.hpp"
 #include "fft/plan_cache.hpp"
 
 namespace hs::vgpu {
@@ -25,33 +24,6 @@ VFftPlan2d::VFftPlan2d(Device& device, std::size_t height, std::size_t width,
                        fft::Direction dir, fft::Rigor rigor)
     : device_(&device),
       plan_(fft::PlanCache::instance().plan_2d(height, width, dir, rigor)) {}
-
-void VFftPlan2d::enqueue(Stream& stream, const DeviceBuffer& in,
-                         DeviceBuffer& out, std::string label) const {
-  HS_REQUIRE(in.size() >= bytes() && out.size() >= bytes(),
-             "FFT buffers smaller than the planned transform");
-  HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
-  const auto* src = in.as<const fft::Complex>();
-  auto* dst = out.as<fft::Complex>();
-  stream.enqueue(std::move(label),
-                 [plan = plan_, device = device_, src, dst] {
-                   under_fft_rule(*device, [&] { plan->execute(src, dst); });
-                 });
-}
-
-void VFftPlan2d::enqueue_inplace(Stream& stream, DeviceBuffer& data,
-                                 std::string label) const {
-  HS_REQUIRE(data.size() >= bytes(),
-             "FFT buffer smaller than the planned transform");
-  enqueue_inplace_ptr(stream, data.as<fft::Complex>(), std::move(label));
-}
-
-void VFftPlan2d::enqueue_inplace_ptr(Stream& stream, fft::Complex* data,
-                                     std::string label) const {
-  HS_REQUIRE(&stream.device() == device_, "stream belongs to another device");
-  stream.enqueue(std::move(label),
-                 [self = *this, data] { self.execute_inplace(data); });
-}
 
 void VFftPlan2d::execute_inplace(fft::Complex* data) const {
   under_fft_rule(*device_, [&] { plan_->execute_inplace(data); });

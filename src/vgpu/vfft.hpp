@@ -6,15 +6,16 @@
 // a device at a time. That is the lock rule every transform here runs
 // under: hold Device::fft_mutex unless the device is configured with
 // concurrent_fft_kernels (the Kepler/Hyper-Q model). Each plan's execute_*
-// method applies the rule on the calling thread; a stream command — one
-// of VFftPlan2d's enqueue_* methods, or a scheduler command issuing one or
-// a group of transforms — calls it once per transform.
+// method applies the rule on the calling thread, which is a stream worker
+// of the plan's device: a stream command issuing one or a group of
+// transforms calls it once per transform. This file is the only place the
+// rule is written.
 #pragma once
 
 #include <memory>
 
 #include "fft/plan2d.hpp"
-#include "vgpu/stream.hpp"
+#include "vgpu/device.hpp"
 
 namespace hs::vgpu {
 
@@ -23,23 +24,6 @@ class VFftPlan2d {
   /// Plans a height x width transform for `device`.
   VFftPlan2d(Device& device, std::size_t height, std::size_t width,
              fft::Direction dir, fft::Rigor rigor = fft::Rigor::kEstimate);
-
-  /// Enqueues an out-of-place transform of `in` into `out` on `stream`.
-  /// Both buffers must hold height*width Complex values and stay alive
-  /// until the stream passes this command.
-  void enqueue(Stream& stream, const DeviceBuffer& in, DeviceBuffer& out,
-               std::string label = "fft2d") const;
-
-  /// Enqueues an in-place transform.
-  void enqueue_inplace(Stream& stream, DeviceBuffer& data,
-                       std::string label = "fft2d") const;
-
-  /// Raw-pointer variant for device memory owned elsewhere (e.g. a pooled
-  /// buffer whose handle lives in a guarded map). The pointer must refer to
-  /// at least count() Complex values of device memory and stay valid until
-  /// the stream passes this command.
-  void enqueue_inplace_ptr(Stream& stream, fft::Complex* data,
-                           std::string label = "fft2d") const;
 
   /// Runs an in-place transform on the calling thread (a stream worker of
   /// this plan's device) under the device's FFT lock rule.

@@ -65,37 +65,6 @@ TEST(ResourceSetTest, ForBackendMapsLegacyShapes) {
   EXPECT_EQ(pgpu.label, "pipelined-gpu");
 }
 
-TEST(ResourceSetTest, ForBackendCopiesSchedulerKnobs) {
-  StitchOptions o;
-  o.steal_threshold = 2;
-  o.gpu_batch_pairs = 8;
-  for (const Backend backend : kAllBackends) {
-    const ResourceSet rs = ResourceSet::for_backend(backend, o);
-    EXPECT_EQ(rs.steal_threshold, 2u) << backend_name(backend);
-    EXPECT_EQ(rs.gpu_batch_pairs, 8u) << backend_name(backend);
-  }
-}
-
-TEST(ResourceSetTest, DescribeSummarizesShape) {
-  ResourceSet rs;
-  rs.cpu_workers = 2;
-  rs.prefetch_threads = 1;
-  EXPECT_EQ(rs.describe(), "2 cpu + 1 prefetch");
-
-  ResourceSet hybrid;
-  hybrid.cpu_workers = 2;
-  hybrid.gpu_devices = 2;
-  hybrid.steal_threshold = 1;
-  hybrid.gpu_batch_pairs = 4;
-  EXPECT_EQ(hybrid.describe(), "2 cpu + 2 gpu (steal>1) (batch=4)");
-
-  ResourceSet sync;
-  sync.cpu_workers = 0;
-  sync.gpu_devices = 1;
-  sync.synchronous_gpu = true;
-  EXPECT_EQ(sync.describe(), "1 gpu (sync)");
-}
-
 // --- validation --------------------------------------------------------------
 
 TEST(SchedulerValidation, RejectsBadResourceSets) {
@@ -108,9 +77,9 @@ TEST(SchedulerValidation, RejectsBadResourceSets) {
   none.gpu_devices = 0;
   EXPECT_THROW(stitch(none, provider, options), InvalidArgument);
 
-  ResourceSet zero_batch;
+  StitchOptions zero_batch = options;
   zero_batch.gpu_batch_pairs = 0;
-  EXPECT_THROW(stitch(zero_batch, provider, options), InvalidArgument);
+  EXPECT_THROW(stitch(ResourceSet{}, provider, zero_batch), InvalidArgument);
 
   ResourceSet prefetch_no_cache;
   prefetch_no_cache.prefetch_threads = 1;
@@ -122,6 +91,46 @@ TEST(SchedulerValidation, RejectsBadResourceSets) {
   bad_sync.gpu_devices = 2;
   bad_sync.synchronous_gpu = true;
   EXPECT_THROW(stitch(bad_sync, provider, options), InvalidArgument);
+}
+
+TEST(SchedulerValidation, ResourceSetRejectsUndersizedPools) {
+  // stitch(ResourceSet) checks the same shape rule a request does: a pool
+  // that cannot cover its executor's working set is rejected up front
+  // instead of starving the executor forever.
+  const auto grid = make_grid(4, 4);
+  MemoryTileProvider provider(&grid.tiles, grid.layout);
+  StitchOptions options = fast_options();
+  options.gpu_count = 1;
+  options.pool_buffers = 2;
+
+  ResourceSet gpu_only;
+  gpu_only.cpu_workers = 0;
+  gpu_only.gpu_devices = 1;
+  ResourceSet hybrid;
+  hybrid.cpu_workers = 1;
+  hybrid.gpu_devices = 1;
+  ResourceSet sync;
+  sync.cpu_workers = 0;
+  sync.gpu_devices = 1;
+  sync.synchronous_gpu = true;
+
+  const auto expect_pool_rejected = [&](const ResourceSet& rs,
+                                        const StitchOptions& o,
+                                        const char* shape) {
+    try {
+      stitch(rs, provider, o);
+      ADD_FAILURE() << shape << ": expected a pool_buffers rejection";
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("pool_buffers:", 0), 0u)
+          << shape << ": " << e.what();
+    }
+  };
+  expect_pool_rejected(gpu_only, options, "gpu-only");
+  expect_pool_rejected(hybrid, options, "1 cpu + 1 gpu");
+  expect_pool_rejected(sync, options, "synchronous gpu");
+  // The synchronous pool also holds the NCC surface: working set 5 + 2.
+  options.pool_buffers = 5;
+  expect_pool_rejected(sync, options, "synchronous gpu, pool 5");
 }
 
 TEST(SchedulerValidation, RequestRejectsBadKnobs) {
@@ -143,13 +152,18 @@ TEST(SchedulerValidation, RequestRejectsBadKnobs) {
 
 // --- hybrid shapes and steal-interleaving bit-identity -----------------------
 
-ResourceSet hybrid_set(std::size_t steal_threshold) {
+ResourceSet hybrid_set() {
   ResourceSet rs;
   rs.cpu_workers = 2;
   rs.gpu_devices = 2;
-  rs.steal_threshold = steal_threshold;
   rs.label = "hybrid";
   return rs;
+}
+
+StitchOptions steal_options(std::size_t steal_threshold) {
+  StitchOptions options = fast_options();
+  options.steal_threshold = steal_threshold;
+  return options;
 }
 
 TEST(HybridScheduling, CpuPlusGpuMatchesReferenceBitExactly) {
@@ -159,7 +173,7 @@ TEST(HybridScheduling, CpuPlusGpuMatchesReferenceBitExactly) {
     const StitchResult reference =
         stitch(Backend::kSimpleCpu, provider, fast_options());
     const StitchResult hybrid =
-        stitch(hybrid_set(1), provider, fast_options());
+        stitch(hybrid_set(), provider, steal_options(1));
     EXPECT_TRUE(tables_identical(reference.table, hybrid.table))
         << "seed " << seed;
     EXPECT_EQ(hybrid.backend_used, "hybrid");
@@ -180,10 +194,10 @@ TEST(HybridScheduling, StealInterleavingsPreserveLedgerContents) {
   const DisplacementTable reference = reference_ledger.snapshot();
 
   for (int rep = 0; rep < 5; ++rep) {
-    StitchOptions options = fast_options();
+    StitchOptions options = steal_options(1);
     PairLedger ledger(grid.layout);
     options.ledger = &ledger;
-    stitch(hybrid_set(1), provider, options);
+    stitch(hybrid_set(), provider, options);
     EXPECT_TRUE(tables_identical(reference, ledger.snapshot()))
         << "rep " << rep;
   }
@@ -196,7 +210,7 @@ TEST(HybridScheduling, StealDisabledKeepsLegacyBehaviorReachable) {
   MemoryTileProvider provider(&grid.tiles, grid.layout);
   const StitchResult reference =
       stitch(Backend::kSimpleCpu, provider, fast_options());
-  const StitchResult hybrid = stitch(hybrid_set(0), provider, fast_options());
+  const StitchResult hybrid = stitch(hybrid_set(), provider, steal_options(0));
   EXPECT_TRUE(tables_identical(reference.table, hybrid.table));
 }
 
@@ -343,11 +357,10 @@ TEST(WorkStealing, RescuesStragglerVgpuStream) {
     if (delay_us > 0) {
       faults.set_delay_us(fault::Site::kStreamExec, delay_us, "gpu1.disp");
     }
-    StitchOptions options = fast_options();
+    StitchOptions options = steal_options(steal_threshold);
     options.faults = delay_us > 0 ? &faults : nullptr;
-    ResourceSet rs = hybrid_set(steal_threshold);
     Stopwatch stopwatch;
-    const StitchResult result = stitch(rs, provider, options);
+    const StitchResult result = stitch(hybrid_set(), provider, options);
     if (table_out != nullptr) *table_out = result.table;
     return stopwatch.seconds();
   };

