@@ -38,8 +38,9 @@ void register_stitch_flags(CliParser& cli,
 
 Backend backend_from_cli(const CliParser& cli);
 
-/// Builds a StitchOptions from the flags above. Purely a parse: option
-/// invariants stay centralized in StitchRequest::validate().
+/// Builds a StitchOptions from the flags above. Option invariants stay
+/// centralized in StitchRequest::validate(). --kernel-dispatch is not an
+/// option: a concrete tier is forced process-wide here, once.
 StitchOptions options_from_cli(const CliParser& cli);
 
 /// Synthetic-grid defaults for binaries that generate their own data.

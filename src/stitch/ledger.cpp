@@ -13,6 +13,31 @@ std::size_t WarmFilter::warm_pair_count(const img::GridLayout& layout) const {
   return count;
 }
 
+std::vector<PairTask> band_pairs(const img::GridLayout& layout, RowBand rows,
+                                 Traversal traversal, const WarmFilter& warm) {
+  std::vector<PairTask> pairs;
+  for (const img::TilePos pos : band_visit_order(layout, rows, traversal)) {
+    if (pos.row < rows.begin) continue;  // halo: the band above owns these
+    if (layout.has_west(pos) && !warm.skip_west(pos)) {
+      pairs.push_back(PairTask{{pos.row, pos.col - 1}, pos, /*is_west=*/true});
+    }
+    if (layout.has_north(pos) && !warm.skip_north(pos)) {
+      pairs.push_back(PairTask{{pos.row - 1, pos.col}, pos, /*is_west=*/false});
+    }
+  }
+  return pairs;
+}
+
+std::vector<std::size_t> pair_refcounts(const img::GridLayout& layout,
+                                        const std::vector<PairTask>& pairs) {
+  std::vector<std::size_t> refs(layout.tile_count(), 0);
+  for (const PairTask& pair : pairs) {
+    ++refs[layout.index_of(pair.reference)];
+    ++refs[layout.index_of(pair.moved)];
+  }
+  return refs;
+}
+
 void PairLedger::prime(const DisplacementTable& warm) {
   std::lock_guard<std::mutex> lock(mutex_);
   HS_ASSERT_MSG(warm.layout.rows == table_.layout.rows &&

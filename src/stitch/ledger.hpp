@@ -5,7 +5,7 @@
 // the serve layer. WarmFilter answers "is this pair already known?" against
 // a warm-start table (a checkpoint or an earlier attempt's ledger snapshot)
 // so backends skip finished pairs — and size their reference counts, pools,
-// and read plans to only the remaining work.
+// and read plans to only the remaining work (band_pairs, pair_refcounts).
 #pragma once
 
 #include <cstdint>
@@ -45,24 +45,6 @@ class WarmFilter {
   bool skip_west(img::TilePos moved) const { return skip(moved, true); }
   bool skip_north(img::TilePos moved) const { return skip(moved, false); }
 
-  /// The tile's degree in the *remaining* pair graph: its initial reference
-  /// count under a warm start. Equals TransformCache::pair_degree when no
-  /// warm table is set.
-  std::size_t degree(const img::GridLayout& layout, img::TilePos pos) const {
-    std::size_t d = 0;
-    if (layout.has_west(pos) && !skip_west(pos)) ++d;
-    if (layout.has_north(pos) && !skip_north(pos)) ++d;
-    if (layout.has_east(pos) &&
-        !skip_west(img::TilePos{pos.row, pos.col + 1})) {
-      ++d;
-    }
-    if (layout.has_south(pos) &&
-        !skip_north(img::TilePos{pos.row + 1, pos.col})) {
-      ++d;
-    }
-    return d;
-  }
-
   /// Number of pairs the warm table already covers.
   std::size_t warm_pair_count(const img::GridLayout& layout) const;
 
@@ -71,6 +53,25 @@ class WarmFilter {
  private:
   const DisplacementTable* warm_;
 };
+
+/// One PCIAM pair: the reference (west or north) tile and the moved tile.
+struct PairTask {
+  img::TilePos reference;
+  img::TilePos moved;
+  bool is_west = false;
+};
+
+/// The pairs of row band `rows` that `warm` leaves to compute, in closure
+/// order: visiting the band's tiles in band_visit_order() closes each
+/// tile's west then north pair. The whole grid's band yields the pair
+/// sequence every sequential backend has always used.
+std::vector<PairTask> band_pairs(const img::GridLayout& layout, RowBand rows,
+                                 Traversal traversal, const WarmFilter& warm);
+
+/// Each tile's initial reference count, by tile index: the number of
+/// `pairs` that read it. A tile no pair reads starts at zero.
+std::vector<std::size_t> pair_refcounts(const img::GridLayout& layout,
+                                        const std::vector<PairTask>& pairs);
 
 /// Thread-safe accumulator of computed pairs. Backends record through
 /// note_pair_result(); the request layer snapshots it to seed fallback

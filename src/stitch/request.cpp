@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "common/stopwatch.hpp"
 #include "fault/plan.hpp"
 #include "stitch/ledger.hpp"
@@ -208,14 +207,6 @@ std::size_t StitchRequest::predicted_pool_bytes() const {
 
 StitchResult stitch(const StitchRequest& request) {
   request.validate();
-
-  // --- SIMD dispatch: a concrete tier forces the codelet selection for
-  // every kernel this job (and, being process-global, any concurrent job)
-  // runs. kAuto leaves the current forcing untouched so a CLI/env setting
-  // made at startup stays in effect across serve jobs.
-  if (request.options.kernel_dispatch != common::KernelDispatch::kAuto) {
-    common::set_forced_tier(request.options.kernel_dispatch);
-  }
 
   // --- deadline: armed on the same stop token every backend already polls
   // between pairs. A direct call starts the clock here; through the serve
@@ -462,8 +453,6 @@ std::string serialize_request(const StitchRequest& request) {
   out << "o.spill=" << (o.spill ? 1 : 0) << '\n';
   out << "o.steal_threshold=" << o.steal_threshold << '\n';
   out << "o.gpu_batch_pairs=" << o.gpu_batch_pairs << '\n';
-  out << "o.kernel_dispatch=" << common::dispatch_name(o.kernel_dispatch)
-      << '\n';
   return out.str();
 }
 
@@ -547,13 +536,6 @@ StitchRequest deserialize_request(const std::string& text) {
       o.steal_threshold = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "o.gpu_batch_pairs") {
       o.gpu_batch_pairs = static_cast<std::size_t>(parse_u64(key, value));
-    } else if (key == "o.kernel_dispatch") {
-      try {
-        o.kernel_dispatch = common::parse_dispatch(value);
-      } catch (const InvalidArgument&) {
-        throw IoError("request field o.kernel_dispatch: bad value '" + value +
-                      "'");
-      }
     }
     // Unknown keys are ignored: a journal written by a newer build stays
     // replayable by this one for the fields both understand.

@@ -1,17 +1,19 @@
 // The hybrid scheduler: the one dispatch loop behind all six legacy backends
-// (see scheduler.hpp for the design rationale). Layout of this file:
+// (see scheduler.hpp for the design rationale). Two run paths, one CPU
+// worker. Layout of this file:
 //
-//   WorkPool            lanes of pair tasks + the claim/steal protocol
-//   pair helpers        pair enumeration, the naive host pair, table writes
-//   ExecutorShape       the shape rule: executor bands and pool slots
+//   WorkPool            lanes of pair tasks, the claim/steal protocol and
+//                       the executor loop (drain)
+//   pair helpers        the naive host pair, table writes
+//   ExecutorShape       the shape rule: CPU and GPU bands and pool slots
 //   DeviceFft           one device's in-place forward/inverse FFT plans
-//   run_cpu             CPU-only shapes (naive, simple-, mt-, pipelined-cpu)
 //   run_gpu_sync        the synchronous single-stream Simple-GPU shape
-//   run_gpu_async       pipelined GPU shapes: per GPU one read, copy, fft,
-//                       bookkeeping and displacement stage whose copy/fft/
-//                       displacement bodies issue groups of up to k items
-//                       (k = 1 is per-item dispatch), plus the hybrid CPU
-//                       band and stolen-pair execution
+//   run_pipelined       every other shape: per asynchronous GPU one read,
+//                       copy, fft, bookkeeping and displacement stage whose
+//                       copy/fft/displacement bodies issue groups of up to k
+//                       items (k = 1 is per-item dispatch); CPU workers and
+//                       prefetchers on the CPU band (the whole grid without
+//                       GPUs), completing pairs through one host pair body
 //   ResourceSet presets, the shape rule's check and price, stitch()
 #include "stitch/scheduler.hpp"
 
@@ -54,15 +56,9 @@ namespace {
 // Work pool: per-executor lanes of pair tasks + the claim/steal protocol.
 // ---------------------------------------------------------------------------
 
-/// The scheduler's unit of work: one PCIAM pair. Pure — any executor
-/// computes the bit-identical Translation — which is what makes claiming
-/// and stealing reorder-safe.
-struct PairTask {
-  img::TilePos reference;
-  img::TilePos moved;
-  bool is_west = false;
-};
-
+/// The scheduler's unit of work is one PairTask (ledger.hpp). PCIAM pairs
+/// are pure — any executor computes the bit-identical Translation — which
+/// is what makes claiming and stealing reorder-safe.
 class WorkPool {
  public:
   enum class Kind { kCpu, kGpu };
@@ -191,6 +187,22 @@ class WorkPool {
     }
   }
 
+  /// The executor loop: hands each claim of up to `max_n` tasks to `body`,
+  /// with the executor's busy gauge raised while it runs, until every lane
+  /// drains.
+  template <typename Body>
+  void drain(std::size_t lane_index, std::size_t max_n,
+             const std::string& executor, Body&& body) {
+    metrics::Gauge& busy = metrics::wellknown::sched_executor_busy(executor);
+    for (;;) {
+      Claim claim = this->claim(lane_index, max_n);
+      if (claim.tasks.empty()) return;
+      busy.set(1);
+      body(claim);
+      busy.set(0);
+    }
+  }
+
  private:
   struct Lane {
     std::string name;
@@ -227,48 +239,6 @@ class WorkPool {
 // Pair helpers shared by every shape.
 // ---------------------------------------------------------------------------
 
-/// Appends the pairs visiting `pos` closes — west, then north — minus those
-/// a warm start already settled.
-void append_pairs_of(const img::GridLayout& layout, img::TilePos pos,
-                     const WarmFilter& warm, std::vector<PairTask>& pairs) {
-  if (layout.has_west(pos) && !warm.skip_west(pos)) {
-    pairs.push_back(
-        PairTask{img::TilePos{pos.row, pos.col - 1}, pos, /*is_west=*/true});
-  }
-  if (layout.has_north(pos) && !warm.skip_north(pos)) {
-    pairs.push_back(
-        PairTask{img::TilePos{pos.row - 1, pos.col}, pos, /*is_west=*/false});
-  }
-}
-
-/// All remaining pairs in the traversal's closure order: visiting a tile
-/// closes its west then north pair — the order every sequential backend
-/// has always used, so a single lane replayed by one executor reproduces
-/// the legacy pair sequence exactly.
-std::vector<PairTask> pairs_in_closure_order(const img::GridLayout& layout,
-                                             Traversal traversal,
-                                             const WarmFilter& warm) {
-  std::vector<PairTask> pairs;
-  for (const img::TilePos pos : traversal_order(layout, traversal)) {
-    append_pairs_of(layout, pos, warm, pairs);
-  }
-  return pairs;
-}
-
-/// The remaining pairs of a row band, row-major. A pair belongs to the band
-/// of its moved (south/east) tile, so the north pairs of the band's first
-/// row reach one row above it.
-std::vector<PairTask> pairs_in_rows(const img::GridLayout& layout,
-                                    RowBand rows, const WarmFilter& warm) {
-  std::vector<PairTask> pairs;
-  for (std::size_t r = rows.begin; r < rows.end; ++r) {
-    for (std::size_t c = 0; c < layout.cols; ++c) {
-      append_pairs_of(layout, img::TilePos{r, c}, warm, pairs);
-    }
-  }
-  return pairs;
-}
-
 /// A pair computed naive-style (the Fiji baseline): both tiles re-read and
 /// re-transformed for this pair alone, no reuse.
 Translation naive_pair(const TileProvider& provider, const PairTask& task,
@@ -296,11 +266,12 @@ void record_pair(DisplacementTable& table, const StitchOptions& options,
 // ---------------------------------------------------------------------------
 
 struct ExecutorShape {
-  /// One asynchronous GPU's share: the rows whose pairs it owns (a pair
-  /// belongs to the band of its south/east tile), the tiles it reads (those
-  /// rows plus, below the first band, the halo row above), and its
-  /// forward-transform pool slots.
-  struct GpuBand {
+  /// One executor's share of the grid: the rows whose pairs it owns (a pair
+  /// belongs to the band of its south/east tile), the tiles it reads
+  /// (band_layout: those rows plus, below the first band, the halo row
+  /// above), and its transform pool slots — an asynchronous GPU's forward
+  /// pool, or the CPU band's prefetch budget.
+  struct Band {
     RowBand rows;
     img::GridLayout layout;
     std::size_t pool_slots = 0;
@@ -314,36 +285,40 @@ struct ExecutorShape {
 
   /// Asynchronous GPU bands in device order; empty for CPU-only and
   /// synchronous shapes.
-  std::vector<GpuBand> gpu_bands;
-  /// The hybrid CPU workers' rows, below every GPU band; empty if none.
-  RowBand cpu_band;
-  /// Whole-grid pool slots: run_gpu_sync's device pool, and the prefetch
-  /// budget of run_cpu's concurrent shapes.
+  std::vector<Band> gpu_bands;
+  /// The CPU workers' band, below every GPU band: the whole grid without
+  /// GPUs, none without CPU workers or when the GPUs take every row.
+  std::optional<Band> cpu_band;
+  /// run_gpu_sync's whole-grid device pool; 0 for every other shape.
   std::size_t pool_slots = 0;
 };
 
 ExecutorShape plan_shape(const ResourceSet& rs, const img::GridLayout& layout,
                          const StitchOptions& options) {
   ExecutorShape shape;
-  shape.pool_slots = pool_size(layout, options.traversal, options.pool_buffers);
-  if (rs.gpu_devices == 0 || rs.synchronous_gpu) return shape;
-  // Contiguous row bands, one per effective GPU. Hybrid shape: CPU workers
-  // take the bottom band as one more partition unit — an equal-rows static
-  // split that stealing refines at runtime. With cpu_workers == 0 this is
-  // the legacy per-GPU split.
+  if (rs.synchronous_gpu) {
+    shape.pool_slots =
+        pool_size(layout, options.traversal, options.pool_buffers);
+    return shape;
+  }
+  const auto band = [&](RowBand rows) {
+    const img::GridLayout grid = band_layout(layout, rows);
+    return ExecutorShape::Band{
+        rows, grid, pool_size(grid, options.traversal, options.pool_buffers)};
+  };
+  // Contiguous row bands, one per effective GPU. CPU workers take the
+  // bottom band as one more partition unit — an equal-rows static split
+  // that stealing refines at runtime. Without GPUs that band is the grid.
   const std::size_t gpus =
-      std::max<std::size_t>(1, std::min(rs.gpu_devices, layout.rows));
+      rs.gpu_devices == 0
+          ? 0
+          : std::max<std::size_t>(1, std::min(rs.gpu_devices, layout.rows));
   const bool cpu_band = rs.cpu_workers > 0 && layout.rows > gpus;
   const std::size_t units = gpus + (cpu_band ? 1 : 0);
   for (std::size_t g = 0; g < gpus; ++g) {
-    const RowBand rows = row_band(layout.rows, g, units);
-    const img::GridLayout band{rows.end - rows.begin + (g > 0 ? 1 : 0),
-                               layout.cols};
-    shape.gpu_bands.push_back(ExecutorShape::GpuBand{
-        rows, band,
-        pool_size(band, options.traversal, options.pool_buffers)});
+    shape.gpu_bands.push_back(band(row_band(layout.rows, g, units)));
   }
-  if (cpu_band) shape.cpu_band = row_band(layout.rows, gpus, units);
+  if (cpu_band) shape.cpu_band = band(row_band(layout.rows, gpus, units));
   return shape;
 }
 
@@ -387,178 +362,6 @@ class DeviceFft {
 };
 
 // ---------------------------------------------------------------------------
-// CPU-only shapes: naive (no cache), simple-cpu (1 worker, inline),
-// mt-cpu (N workers), pipelined-cpu (N workers + prefetch threads).
-// ---------------------------------------------------------------------------
-
-StitchResult run_cpu(const ResourceSet& rs, const ExecutorShape& shape,
-                     const TileProvider& provider,
-                     const StitchOptions& options) {
-  const img::GridLayout layout = provider.layout();
-  const WarmFilter warm(options.warm_start);
-  StitchResult result(layout);
-  OpCountsAtomic counts;
-
-  const FftPipeline fftp =
-      make_fft_pipeline(provider.tile_height(), provider.tile_width(),
-                        options.rigor, options.use_real_fft);
-
-  std::unique_ptr<TransformCache> cache;
-  if (rs.use_transform_cache) {
-    SharedCacheBinding shared;
-    shared.cache = options.shared_cache;
-    shared.tenant =
-        options.shared_tenant.empty() ? "default" : options.shared_tenant;
-    shared.tenant_quota_bytes = options.shared_tenant_quota_bytes;
-    shared.spill = options.spill;
-    cache = std::make_unique<TransformCache>(provider, fftp, &counts, warm,
-                                             std::move(shared));
-  }
-  // The naive shape deliberately skips the cross-job store too: its whole
-  // point is the no-reuse baseline. The GPU shapes compute spectra on
-  // device and never touch the host TransformCache, so they run unshared.
-  SharedSpectrumCache* shared_store =
-      cache != nullptr ? cache->shared().cache : nullptr;
-  const common::SimdTier shared_tier = common::active_tier();
-  metrics::Histogram& pair_latency =
-      metrics::wellknown::pair_latency_us(rs.label);
-
-  WorkPool work(options.steal_threshold, options.recorder);
-  const std::size_t lane = work.add_lane("cpu", WorkPool::Kind::kCpu);
-  for (const PairTask& task :
-       pairs_in_closure_order(layout, options.traversal, warm)) {
-    work.push(lane, task);
-  }
-  work.close(lane);
-
-  auto process_pair = [&](const PairTask& task, PciamScratch& scratch) {
-    HS_METRIC_TIMER(pair_latency);
-    throw_if_cancelled(options);
-    Translation t;
-    if (cache == nullptr) {
-      t = naive_pair(provider, task, fftp, scratch, counts, options);
-    } else {
-      // Cross-job memoization: a pair whose tile contents and PCIAM
-      // parameters match an earlier job replays the cached displacement
-      // without touching the FFT. PCIAM is a pure function of tile bytes
-      // and parameters, so the replayed Translation is bit-identical to a
-      // recomputation. On a hit the tiles are released without ever
-      // computing — release() tolerates never-computed entries.
-      std::optional<PairKey> key;
-      if (shared_store != nullptr) {
-        key = PairKey{cache->digest(task.reference),
-                      cache->digest(task.moved),
-                      static_cast<std::uint32_t>(fftp.height),
-                      static_cast<std::uint32_t>(fftp.width),
-                      fftp.real_fft,
-                      shared_tier,
-                      static_cast<std::uint32_t>(options.peak_candidates),
-                      options.min_overlap_px};
-      }
-      const bool hit = key && shared_store->find_pair(*key, &t);
-      if (!hit) {
-        const fft::Complex* fft_ref = cache->transform(task.reference);
-        const fft::Complex* fft_mov = cache->transform(task.moved);
-        t = pciam_from_spectra(
-            fft_ref, fft_mov, cache->tile(task.reference),
-            cache->tile(task.moved), fftp, scratch, &counts,
-            options.peak_candidates, options.min_overlap_px);
-      }
-      cache->release(task.reference);
-      cache->release(task.moved);
-      if (key && !hit) {
-        shared_store->insert_pair(*key, t, cache->shared().tenant,
-                                  cache->shared().tenant_quota_bytes,
-                                  cache->shared().spill);
-      }
-    }
-    record_pair(result.table, options, task.moved, task.is_west, t);
-  };
-
-  if (rs.cpu_workers <= 1 && rs.prefetch_threads == 0) {
-    // Sequential shapes run inline on the caller thread, preserving the
-    // exact legacy pair order — and with it the traversal's transform-memory
-    // profile (chained-diagonal keeps at most ~min(n, m)+1 transforms live).
-    metrics::Gauge& busy = metrics::wellknown::sched_executor_busy("cpu0");
-    PciamScratch scratch;
-    for (;;) {
-      WorkPool::Claim claim = work.claim(lane, 1);
-      if (claim.tasks.empty()) break;
-      busy.set(1);
-      for (const PairTask& task : claim.tasks) process_pair(task, scratch);
-      busy.set(0);
-    }
-  } else {
-    // Concurrent shapes: a worker stage claiming from the shared lane, plus
-    // an optional prefetch stage (the Pipelined-CPU reader) warming the
-    // cache ahead of the workers under a fixed in-flight budget.
-    std::vector<img::TilePos> prefetch_list;
-    if (rs.prefetch_threads > 0) {
-      // Tiles whose every pair a warm start settled have degree 0: they are
-      // neither read nor transformed.
-      for (const img::TilePos pos :
-           traversal_order(layout, options.traversal)) {
-        if (warm.degree(layout, pos) > 0) prefetch_list.push_back(pos);
-      }
-    }
-    std::atomic<std::size_t> next_prefetch{0};
-    std::atomic<std::size_t> worker_ids{0};
-    hs::trace::Recorder* recorder = options.recorder;
-
-    pipe::Pipeline pipeline;
-    pipeline.on_cancel([&work] { work.close_all(); });
-    if (rs.prefetch_threads > 0) {
-      pipeline.add_stage("prefetch", rs.prefetch_threads, [&] {
-        for (;;) {
-          throw_if_cancelled(options);
-          const std::size_t i =
-              next_prefetch.fetch_add(1, std::memory_order_relaxed);
-          if (i >= prefetch_list.size() || pipeline.cancelled()) return;
-          // Back-pressure: a prefetcher running far ahead of the workers
-          // would pin the whole grid in memory; cap live transforms at the
-          // CPU "pool" size instead (the SlotLimiter analogue).
-          while (cache->live_transforms() >= shape.pool_slots) {
-            throw_if_cancelled(options);
-            if (pipeline.cancelled()) return;
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-          }
-          std::optional<hs::trace::Recorder::Scoped> span;
-          if (recorder != nullptr) {
-            span.emplace(*recorder, "cpu.read", "prefetch");
-          }
-          cache->prefetch(prefetch_list[i]);
-        }
-      });
-    }
-    pipeline.add_stage(
-        "workers", std::max<std::size_t>(1, rs.cpu_workers), [&] {
-          const std::size_t id =
-              worker_ids.fetch_add(1, std::memory_order_relaxed);
-          set_current_thread_name("sched.cpu" + std::to_string(id));
-          metrics::Gauge& busy = metrics::wellknown::sched_executor_busy(
-              "cpu" + std::to_string(id));
-          PciamScratch scratch;
-          for (;;) {
-            WorkPool::Claim claim = work.claim(lane, 1);
-            if (claim.tasks.empty()) break;
-            busy.set(1);
-            for (const PairTask& task : claim.tasks) {
-              process_pair(task, scratch);
-            }
-            busy.set(0);
-          }
-        });
-    pipeline.run();
-  }
-
-  result.peak_live_transforms =
-      cache != nullptr ? cache->peak_live_transforms()
-                       : (layout.pair_count() > 0 ? 2 : 0);
-  result.ops = counts.snapshot();
-  return result;
-}
-
-// ---------------------------------------------------------------------------
 // Synchronous single-stream GPU shape (the paper's Simple-GPU): one caller
 // thread drives one virtual GPU through a single default stream, waiting
 // after every command — the pathology profiled in the paper's Fig 7.
@@ -568,7 +371,10 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const ExecutorShape& shape,
                           const TileProvider& provider,
                           const StitchOptions& options) {
   const img::GridLayout layout = provider.layout();
-  const WarmFilter warm(options.warm_start);
+  const std::vector<PairTask> pairs =
+      band_pairs(layout, RowBand{0, layout.rows}, options.traversal,
+                 WarmFilter(options.warm_start));
+  const std::vector<std::size_t> refs = pair_refcounts(layout, pairs);
   StitchResult result(layout);
   OpCountsAtomic counts;
 
@@ -613,7 +419,7 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const ExecutorShape& shape,
     if (it != states.end()) return it->second;
 
     TileState state;
-    state.refs = warm.degree(layout, pos);
+    state.refs = refs[index];
     state.tile = provider.load(pos);
     counts.bump(counts.tile_reads);
     // Synchronous H2D copy (the Simple-GPU pathology): convert on the host,
@@ -715,20 +521,11 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const ExecutorShape& shape,
   // {"gpu0.default"}).
   WorkPool work(options.steal_threshold, options.recorder);
   const std::size_t lane = work.add_lane("gpu0", WorkPool::Kind::kGpu);
-  for (const PairTask& task :
-       pairs_in_closure_order(layout, options.traversal, warm)) {
-    work.push(lane, task);
-  }
+  for (const PairTask& task : pairs) work.push(lane, task);
   work.close(lane);
-
-  metrics::Gauge& busy = metrics::wellknown::sched_executor_busy("gpu0");
-  for (;;) {
-    WorkPool::Claim claim = work.claim(lane, 1);
-    if (claim.tasks.empty()) break;
-    busy.set(1);
+  work.drain(lane, 1, "gpu0", [&](const WorkPool::Claim& claim) {
     for (const PairTask& task : claim.tasks) run_pair(task);
-    busy.set(0);
-  }
+  });
 
   result.peak_live_transforms = peak;
   result.ops = counts.snapshot();
@@ -736,9 +533,11 @@ StitchResult run_gpu_sync(const ResourceSet& rs, const ExecutorShape& shape,
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined GPU shapes: per-GPU six-stage pipelines (paper SIV-B, Fig 8)
-// over the shared work pool, plus the hybrid CPU band, stolen-pair
-// execution, and batched dispatch.
+// The pipelined executor: every shape but the synchronous GPU. Per
+// asynchronous GPU a six-stage pipeline (paper SIV-B, Fig 8) over the
+// shared work pool, with batched dispatch; CPU workers (plus optional
+// prefetchers) on the CPU band; stolen-pair execution. With zero GPUs only
+// the CPU stages exist.
 // ---------------------------------------------------------------------------
 
 /// Work item flowing through stages 1-3 of one GPU pipeline. A null tile
@@ -923,7 +722,7 @@ void finish_pair(GpuPipeline* gpu, const img::GridLayout& layout,
   release_tile(gpu, layout, in.pair.moved);
 }
 
-StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
+StitchResult run_pipelined(const ResourceSet& rs, const ExecutorShape& shape,
                            const TileProvider& provider,
                            const StitchOptions& options) {
   const img::GridLayout layout = provider.layout();
@@ -958,12 +757,38 @@ StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
   const char* ifft_label = real_fft ? "ifft2d_c2r" : "ifft2d";
 
   // Host-side FFT pipeline for pairs executed off the GPU fast path: CPU
-  // band workers and stolen pairs. Built lazily — plan setup is not free
-  // and pure-GPU runs never touch it.
+  // workers and stolen pairs. Built lazily — plan setup is not free and
+  // pure-GPU runs never touch it.
   FftPipeline host_fftp;
   if (rs.cpu_workers > 0 || options.steal_threshold > 0) {
     host_fftp = make_fft_pipeline(h, w, options.rigor, options.use_real_fft);
   }
+
+  // The CPU band's pairs in closure order, and the transform cache sized to
+  // them: a tile's reference count is the number of those pairs that read
+  // it, so the cache frees the halo row above the band too.
+  const std::vector<PairTask> cpu_pairs =
+      shape.cpu_band ? band_pairs(layout, shape.cpu_band->rows,
+                                  options.traversal, warm)
+                     : std::vector<PairTask>{};
+  const std::vector<std::size_t> cpu_refs = pair_refcounts(layout, cpu_pairs);
+  std::unique_ptr<TransformCache> cache;
+  if (shape.cpu_band && rs.use_transform_cache) {
+    SharedCacheBinding shared;
+    shared.cache = options.shared_cache;
+    shared.tenant =
+        options.shared_tenant.empty() ? "default" : options.shared_tenant;
+    shared.tenant_quota_bytes = options.shared_tenant_quota_bytes;
+    shared.spill = options.spill;
+    cache = std::make_unique<TransformCache>(provider, host_fftp, &counts,
+                                             cpu_refs, std::move(shared));
+  }
+  // The naive shape deliberately skips the cross-job store too: its whole
+  // point is the no-reuse baseline. GPU bands compute spectra on device and
+  // never touch the host cache, so they run unshared.
+  SharedSpectrumCache* shared_store =
+      cache != nullptr ? cache->shared().cache : nullptr;
+  const common::SimdTier shared_tier = common::active_tier();
 
   HaloExchange exchange;
 
@@ -973,19 +798,14 @@ StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
   for (std::size_t g = 0; g < gpu_count; ++g) {
     auto gpu = std::make_unique<GpuPipeline>();
     gpu->id = g;
-    const ExecutorShape::GpuBand& band = shape.gpu_bands[g];
+    const ExecutorShape::Band& band = shape.gpu_bands[g];
     const RowBand rows = band.rows;
-    const std::size_t halo_begin = g > 0 ? rows.begin - 1 : rows.begin;
-    // Visit the band in the configured traversal order (shifted into it).
-    for (const img::TilePos local :
-         traversal_order(band.layout, options.traversal)) {
-      gpu->tiles_to_read.push_back(
-          img::TilePos{halo_begin + local.row, local.col});
-    }
+    gpu->tiles_to_read =
+        band_visit_order(layout, rows, options.traversal);
     // Warm-settled pairs are excluded at partition time: reference counts,
     // the read plan, and the halo sets all derive from owned_pairs, so a
     // warm start shrinks every downstream structure consistently.
-    gpu->owned_pairs = pairs_in_rows(layout, rows, warm);
+    gpu->owned_pairs = band_pairs(layout, rows, options.traversal, warm);
     if (use_p2p) {
       // A halo transform crosses devices only when the consumer's boundary
       // pair still needs computing.
@@ -1034,12 +854,10 @@ StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
     // transform, released by the consumer after its p2p copy), then drop
     // any tile no owned pair needs (single-tile grids, or tiles whose every
     // pair a warm start already settled).
-    for (const PairTask& pair : gpu->owned_pairs) {
-      for (const img::TilePos pos : {pair.reference, pair.moved}) {
-        auto [it, inserted] =
-            gpu->states.try_emplace(layout.index_of(pos), GpuTileState{});
-        it->second.refs += 1;
-      }
+    const std::vector<std::size_t> refs =
+        pair_refcounts(layout, gpu->owned_pairs);
+    for (std::size_t index = 0; index < refs.size(); ++index) {
+      if (refs[index] > 0) gpu->states[index].refs = refs[index];
     }
     for (const std::size_t index : gpu->halo_export) {
       auto [it, inserted] = gpu->states.try_emplace(index, GpuTileState{});
@@ -1065,38 +883,32 @@ StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
     lane_owner.push_back(nullptr);
     // The CPU band's pairs are seeded (and the lane closed) up front — they
     // have no device-side dependency chain, so there is nothing to wait
-    // for, and a closed lane is raidable down to zero by idle GPUs. North
-    // pairs on the band's first row reach into the last GPU band; the CPU
-    // worker loads both tiles itself, so no cross-executor handoff is
-    // needed.
-    for (const PairTask& task : pairs_in_rows(layout, shape.cpu_band, warm)) {
-      work.push(cpu_lane, task);
-    }
+    // for, and a closed lane is raidable down to zero by idle GPUs. A
+    // single lane replayed by one worker reproduces the legacy sequential
+    // pair order exactly.
+    for (const PairTask& task : cpu_pairs) work.push(cpu_lane, task);
     work.close(cpu_lane);
   }
 
   pipe::BoundedQueue<CcfTask> q_ccf;  // stage 6, shared across GPUs
-  q_ccf.instrument("pipelined_gpu.ccf");
+  if (gpu_count > 0) q_ccf.instrument("pipelined_gpu.ccf");
   std::atomic<std::size_t> disp_stages_live{gpu_count};
-  std::atomic<std::size_t> cpu_worker_ids{0};
   metrics::Histogram& pair_latency =
       metrics::wellknown::pair_latency_us(rs.label);
 
-  // Host-side completion of a claimed pair — the CPU band workers' path, and
-  // what a thief runs for a stolen pair. A pair stolen from a GPU lane only
-  // enters that lane after bookkeeping saw both forward FFTs complete, so
-  // the victim's device buffers (host-visible in the virtual-GPU model)
-  // already hold both spectra: the thief reuses them via pciam_from_spectra
-  // and no forward transform is repeated. A CPU-lane pair has no resident
-  // state anywhere and is computed naive-style from the tile files.
+  // The one host pair body: every CPU worker's pair, and whatever a thief
+  // claims. A pair stolen from a GPU lane only enters that lane after
+  // bookkeeping saw both forward FFTs complete, so the victim's device
+  // buffers (host-visible in the virtual-GPU model) already hold both
+  // spectra: the thief reuses them via pciam_from_spectra and no forward
+  // transform is repeated. A CPU-lane pair goes through the transform
+  // cache, or naive-style from the tile files when there is none.
   auto host_pair = [&](const PairTask& task, GpuPipeline* victim,
                        PciamScratch& scratch) {
     HS_METRIC_TIMER(pair_latency);
     throw_if_cancelled(options);
     Translation t;
-    if (victim == nullptr) {
-      t = naive_pair(provider, task, host_fftp, scratch, counts, options);
-    } else {
+    if (victim != nullptr) {
       const PairInputs in = resident_inputs(victim, layout, {task}).front();
       t = pciam_from_spectra(in.spectra.fft_reference, in.spectra.fft_moved,
                              *in.reference, *in.moved, host_fftp, scratch,
@@ -1104,8 +916,57 @@ StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
                              options.min_overlap_px);
       release_tile(victim, layout, task.reference);
       release_tile(victim, layout, task.moved);
+    } else if (cache == nullptr) {
+      t = naive_pair(provider, task, host_fftp, scratch, counts, options);
+    } else {
+      // Cross-job memoization: a pair whose tile contents and PCIAM
+      // parameters match an earlier job replays the cached displacement
+      // without touching the FFT. PCIAM is a pure function of tile bytes
+      // and parameters, so the replayed Translation is bit-identical to a
+      // recomputation. On a hit the tiles are released without ever
+      // computing — release() tolerates never-computed entries.
+      std::optional<PairKey> key;
+      if (shared_store != nullptr) {
+        key = PairKey{cache->digest(task.reference),
+                      cache->digest(task.moved),
+                      static_cast<std::uint32_t>(h),
+                      static_cast<std::uint32_t>(w),
+                      real_fft,
+                      shared_tier,
+                      static_cast<std::uint32_t>(options.peak_candidates),
+                      options.min_overlap_px};
+      }
+      const bool hit = key && shared_store->find_pair(*key, &t);
+      if (!hit) {
+        const fft::Complex* fft_ref = cache->transform(task.reference);
+        const fft::Complex* fft_mov = cache->transform(task.moved);
+        t = pciam_from_spectra(fft_ref, fft_mov, cache->tile(task.reference),
+                               cache->tile(task.moved), host_fftp, scratch,
+                               &counts, options.peak_candidates,
+                               options.min_overlap_px);
+      }
+      cache->release(task.reference);
+      cache->release(task.moved);
+      if (key && !hit) {
+        shared_store->insert_pair(*key, t, cache->shared().tenant,
+                                  cache->shared().tenant_quota_bytes,
+                                  cache->shared().spill);
+      }
     }
     record_pair(result.table, options, task.moved, task.is_west, t);
+  };
+  // A CPU worker: claims from the CPU lane (stealing GPU pairs when idle
+  // and allowed) and completes every claim through the host pair body.
+  auto cpu_worker = [&](std::size_t id) {
+    PciamScratch scratch;
+    work.drain(cpu_lane, 1, "cpu" + std::to_string(id),
+               [&](const WorkPool::Claim& claim) {
+                 GpuPipeline* victim =
+                     claim.stolen ? lane_owner[claim.victim] : nullptr;
+                 for (const PairTask& task : claim.tasks) {
+                   host_pair(task, victim, scratch);
+                 }
+               });
   };
 
   pipe::Pipeline pipeline;
@@ -1361,21 +1222,15 @@ StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
         "g" + std::to_string(gpu->id) + ".displacement", 1,
         [gpu, lane, &work, &lane_owner, &layout, &counts, &q_ccf, &host_pair,
          count, bins, real_fft, &options, pair_k, ifft_label] {
-          metrics::Gauge& busy = metrics::wellknown::sched_executor_busy(
-              "gpu" + std::to_string(gpu->id));
           PciamScratch scratch;
           const std::size_t peaks_k =
               std::max<std::size_t>(1, options.peak_candidates);
           const img::GridLayout grid = layout;
-          for (;;) {
-            WorkPool::Claim claim = work.claim(lane, pair_k);
-            if (claim.tasks.empty()) break;
-            busy.set(1);
+          const auto dispatch = [&](const WorkPool::Claim& claim) {
             if (claim.stolen) {
               host_pair(claim.tasks.front(), lane_owner[claim.victim],
                         scratch);
-              busy.set(0);
-              continue;
+              return;
             }
             throw_if_cancelled(options);
             vgpu::PooledBuffer ncc = gpu->ncc_pool->acquire();
@@ -1430,9 +1285,8 @@ StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
                     ncc.release();
                   });
             }
-            busy.set(0);
-          }
-          busy.set(0);
+          };
+          work.drain(lane, pair_k, "gpu" + std::to_string(gpu->id), dispatch);
           // All pairs issued; wait for the stream to drain before declaring
           // this GPU's displacement work done.
           gpu->disp_stream->synchronize();
@@ -1444,35 +1298,56 @@ StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
         });
   }
 
-  // ---- CPU band workers: claim from the shared "cpu" lane (and steal GPU
-  // pairs when idle and allowed), completing every pair on the host.
-  if (rs.cpu_workers > 0) {
-    pipeline.add_stage(
-        "cpu.workers", rs.cpu_workers,
-        [&work, cpu_lane, &lane_owner, &host_pair, &cpu_worker_ids] {
-          const std::size_t id =
-              cpu_worker_ids.fetch_add(1, std::memory_order_relaxed);
-          set_current_thread_name("sched.cpu" + std::to_string(id));
-          metrics::Gauge& busy = metrics::wellknown::sched_executor_busy(
-              "cpu" + std::to_string(id));
-          PciamScratch scratch;
-          for (;;) {
-            WorkPool::Claim claim = work.claim(cpu_lane, 1);
-            if (claim.tasks.empty()) break;
-            busy.set(1);
-            GpuPipeline* victim =
-                claim.stolen ? lane_owner[claim.victim] : nullptr;
-            for (const PairTask& task : claim.tasks) {
-              host_pair(task, victim, scratch);
-            }
-            busy.set(0);
-          }
-        });
+  // ---- CPU stages: an optional prefetch stage (the Pipelined-CPU reader)
+  // warming the cache ahead of the workers under the CPU band's slot
+  // budget, and the workers themselves.
+  std::vector<img::TilePos> prefetch_list;
+  std::atomic<std::size_t> next_prefetch{0};
+  if (rs.prefetch_threads > 0 && cache != nullptr) {
+    // Tiles no remaining pair reads are neither read nor transformed.
+    for (const img::TilePos pos :
+         band_visit_order(layout, shape.cpu_band->rows, options.traversal)) {
+      if (cpu_refs[layout.index_of(pos)] > 0) prefetch_list.push_back(pos);
+    }
+    pipeline.add_stage("cpu.prefetch", rs.prefetch_threads, [&] {
+      for (;;) {
+        throw_if_cancelled(options);
+        const std::size_t i =
+            next_prefetch.fetch_add(1, std::memory_order_relaxed);
+        if (i >= prefetch_list.size() || pipeline.cancelled()) return;
+        // Back-pressure: a prefetcher running far ahead of the workers
+        // would pin the whole band in memory; cap live transforms at the
+        // band's slot budget instead (the SlotLimiter analogue).
+        while (cache->live_transforms() >= shape.cpu_band->pool_slots) {
+          throw_if_cancelled(options);
+          if (pipeline.cancelled()) return;
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        std::optional<hs::trace::Recorder::Scoped> span;
+        if (options.recorder != nullptr) {
+          span.emplace(*options.recorder, "cpu.read", "prefetch");
+        }
+        cache->prefetch(prefetch_list[i]);
+      }
+    });
+  }
+  // One worker with nothing to overlap runs inline on the caller thread,
+  // keeping its thread-local FFT scratch warm across jobs.
+  const bool inline_worker =
+      gpu_count == 0 && rs.cpu_workers <= 1 && rs.prefetch_threads == 0;
+  std::atomic<std::size_t> cpu_worker_ids{0};
+  if (rs.cpu_workers > 0 && !inline_worker) {
+    pipeline.add_stage("cpu.workers", rs.cpu_workers, [&] {
+      const std::size_t id =
+          cpu_worker_ids.fetch_add(1, std::memory_order_relaxed);
+      set_current_thread_name("sched.cpu" + std::to_string(id));
+      cpu_worker(id);
+    });
   }
 
   // ---- Stage 6: CCF threads, shared across all GPU pipelines.
   std::atomic<std::size_t> ccf_ids{0};
-  pipeline.add_stage(
+  if (gpu_count > 0) pipeline.add_stage(
       "ccf", std::max<std::size_t>(1, options.ccf_threads),
       [&q_ccf, &result, &counts, &options, &ccf_ids, &pair_latency, w] {
         const std::size_t id = ccf_ids.fetch_add(1, std::memory_order_relaxed);
@@ -1498,7 +1373,11 @@ StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
       });
 
   try {
-    pipeline.run();
+    if (inline_worker) {
+      cpu_worker(0);
+    } else {
+      pipeline.run();
+    }
   } catch (...) {
     // A failing stage unwinds without reaching its end-of-stage
     // synchronize(), so commands that touch this function's state (tile
@@ -1514,7 +1393,11 @@ StitchResult run_gpu_async(const ResourceSet& rs, const ExecutorShape& shape,
     throw;
   }
 
-  std::size_t peak_total = 0;
+  // A naive worker holds one pair's two transforms at a time.
+  std::size_t peak_total =
+      cache != nullptr ? cache->peak_live_transforms()
+      : shape.cpu_band && shape.cpu_band->layout.pair_count() > 0 ? 2
+                                                                  : 0;
   for (const auto& gpu : gpus) {
     peak_total += gpu->peak.load(std::memory_order_relaxed);
   }
@@ -1603,10 +1486,15 @@ void check_shape(const ResourceSet& rs, const img::GridLayout& layout,
   const std::string cover = "pool of " + num(o.pool_buffers) +
                             " cannot cover traversal " +
                             traversal_name(o.traversal) + "'s ";
-  if (rs.prefetch_threads > 0 && o.pool_buffers > 0 && o.pool_buffers <= ws) {
-    reject("pool_buffers", cover + "working set of " + num(ws) + " on a " +
-                               num(layout.rows) + "x" + num(layout.cols) +
-                               " grid; need > " + num(ws));
+  if (rs.prefetch_threads > 0 && shape.cpu_band && o.pool_buffers > 0) {
+    const img::GridLayout& band = shape.cpu_band->layout;
+    const std::size_t band_ws = traversal_working_set(band, o.traversal);
+    if (o.pool_buffers <= band_ws) {
+      reject("pool_buffers", cover + "working set of " + num(band_ws) +
+                                 " on a " + num(band.rows) + "x" +
+                                 num(band.cols) + " grid; need > " +
+                                 num(band_ws));
+    }
   }
   // (A synchronous pool only falls short when pool_buffers sized it.)
   if (rs.synchronous_gpu && shape.pool_slots < ws + 2) {
@@ -1614,7 +1502,7 @@ void check_shape(const ResourceSet& rs, const img::GridLayout& layout,
                                " plus an NCC working buffer; need >= " +
                                num(ws + 2));
   }
-  for (const ExecutorShape::GpuBand& band : shape.gpu_bands) {
+  for (const ExecutorShape::Band& band : shape.gpu_bands) {
     const std::size_t band_ws = traversal_working_set(band.layout, o.traversal);
     if (o.pool_buffers > 0 && o.pool_buffers <= band_ws) {
       reject("pool_buffers", cover + "per-band working set of " +
@@ -1643,28 +1531,29 @@ std::size_t shape_pool_bytes(const ResourceSet& rs,
   const std::size_t naive_pair_bytes = 2 * tile_bytes + 3 * transform_bytes;
   const ExecutorShape shape = plan_shape(rs, layout, options);
 
-  if (rs.gpu_devices == 0) {
-    if (!rs.use_transform_cache) return naive_pair_bytes;
-    if (rs.prefetch_threads > 0) {
-      return shape.pool_slots * (transform_bytes + tile_bytes) +
-             rs.cpu_workers * transform_bytes;
-    }
-    // Each band closes pairs independently; charge one in-flight scratch
-    // transform per worker on top of the shared cache's working set.
-    const std::size_t ws = traversal_working_set(layout, options.traversal);
-    const std::size_t bands = std::max<std::size_t>(
-        1, std::min(rs.cpu_workers, layout.rows));
-    return (ws + bands) * (transform_bytes + tile_bytes) +
-           bands * transform_bytes;
-  }
   if (rs.synchronous_gpu) {
     // Device pool + host tiles pinned alongside + staging + reduce.
     return shape.pool_slots * (transform_bytes + tile_bytes) +
            2 * transform_bytes;
   }
-  // Hybrid CPU workers compute their band's pairs without reuse.
-  std::size_t total = rs.cpu_workers * naive_pair_bytes;
-  for (const ExecutorShape::GpuBand& band : shape.gpu_bands) {
+  std::size_t total = 0;
+  if (shape.cpu_band && !rs.use_transform_cache) {
+    total = rs.cpu_workers * naive_pair_bytes;
+  } else if (shape.cpu_band && rs.prefetch_threads > 0) {
+    total = shape.cpu_band->pool_slots * (transform_bytes + tile_bytes) +
+            rs.cpu_workers * transform_bytes;
+  } else if (shape.cpu_band) {
+    // Workers close pairs independently; charge one in-flight scratch
+    // transform per worker (up to one per band row) on top of the shared
+    // cache's working set.
+    const img::GridLayout& band = shape.cpu_band->layout;
+    const std::size_t ws = traversal_working_set(band, options.traversal);
+    const std::size_t workers =
+        std::max<std::size_t>(1, std::min(rs.cpu_workers, band.rows));
+    total = (ws + workers) * (transform_bytes + tile_bytes) +
+            workers * transform_bytes;
+  }
+  for (const ExecutorShape::Band& band : shape.gpu_bands) {
     total += (band.pool_slots + ExecutorShape::kNccSlots) * transform_bytes +
              band.pool_slots * tile_bytes  // host pixels for the CCFs
              + ExecutorShape::kReadAheadTiles * tile_bytes;
@@ -1677,10 +1566,9 @@ StitchResult stitch(const ResourceSet& rs, const TileProvider& provider,
   check_shape(rs, provider.layout(), options);
   const ExecutorShape shape = plan_shape(rs, provider.layout(), options);
   Stopwatch stopwatch;
-  StitchResult result =
-      rs.gpu_devices == 0 ? run_cpu(rs, shape, provider, options)
-      : rs.synchronous_gpu ? run_gpu_sync(rs, shape, provider, options)
-                           : run_gpu_async(rs, shape, provider, options);
+  StitchResult result = rs.synchronous_gpu
+                            ? run_gpu_sync(rs, shape, provider, options)
+                            : run_pipelined(rs, shape, provider, options);
   result.backend_used = rs.label;
   result.seconds = stopwatch.seconds();
   return result;

@@ -11,6 +11,15 @@
 // (ResourceSet::for_backend), and hybrid CPU+GPU configurations that no
 // enum value names become expressible.
 //
+// Two run paths, one CPU worker. The synchronous Simple-GPU shape has its
+// own loop; every other shape runs on the pipelined executor, which adds a
+// six-stage pipeline per asynchronous GPU (none for CPU-only shapes) and
+// CPU workers on the CPU band — the bottom rows of the grid, or all of it
+// without GPUs. Every CPU worker, and any GPU thief of a CPU-band pair,
+// completes pairs through one host pair body: the transform cache plus the
+// cross-job pair memo, or naive-style without a cache. A tile's initial
+// reference count is the number of the executor's pairs that read it.
+//
 // A ResourceSet names executors only. The two scheduling knobs that ride on
 // the unified loop live in StitchOptions, next to every other option; both
 // are off by default so every legacy configuration stays bit-identical to
@@ -63,8 +72,8 @@ struct ResourceSet {
   /// CPU pair workers. 0 = GPU-only configuration.
   std::size_t cpu_workers = 1;
   /// Dedicated transform-prefetch threads warming the TransformCache ahead
-  /// of the workers (the Pipelined-CPU reader stage). Requires
-  /// use_transform_cache.
+  /// of the workers on the CPU band (the Pipelined-CPU reader stage), on
+  /// CPU-only and hybrid shapes alike. Requires use_transform_cache.
   std::size_t prefetch_threads = 0;
   /// Compute each tile's forward transform once and share it (every backend
   /// except the Fiji-style naive baseline).

@@ -4,7 +4,7 @@
 // displacements of its eastern, southern, western, and northern neighbors
 // were computed" and "every tile has a reference count that is decremented
 // when the tile is used to compute a relative displacement." Each tile entry
-// starts with a reference count equal to its degree in the pair graph;
+// starts with a reference count equal to the number of pairs it serves;
 // get() computes the transform (and loads the tile) on first use, and
 // release() frees both at zero. Thread-safe with per-entry compute-once
 // semantics so the SPMD implementation can share one cache across threads.
@@ -35,19 +35,15 @@ namespace hs::stitch {
 
 class TransformCache {
  public:
-  /// `filter` shrinks each tile's initial reference count to its degree in
-  /// the remaining pair graph under a warm start; the default (no warm
-  /// table) yields the full pair_degree. Entries hold
+  /// `refcounts` holds each tile's initial reference count by tile index —
+  /// pair_refcounts() over the pairs this cache serves. Entries hold
   /// pipeline.spectrum_count() bins — half-spectrum pipelines halve the
   /// cache's footprint. `shared` optionally binds the run to a cross-job
   /// content-addressed store (see shared_cache.hpp).
   TransformCache(const TileProvider& provider, FftPipeline pipeline,
-                 OpCountsAtomic* counts, WarmFilter filter = WarmFilter(),
+                 OpCountsAtomic* counts,
+                 const std::vector<std::size_t>& refcounts,
                  SharedCacheBinding shared = SharedCacheBinding());
-
-  /// The tile's degree in the pair graph (its initial reference count).
-  static std::size_t pair_degree(const img::GridLayout& layout,
-                                 img::TilePos pos);
 
   /// Returns the tile's forward transform, computing it (and reading the
   /// tile) on first call. Blocks if another thread is computing it.

@@ -101,4 +101,18 @@ RowBand row_band(std::size_t rows, std::size_t band, std::size_t bands) {
   return RowBand{band * rows / bands, (band + 1) * rows / bands};
 }
 
+img::GridLayout band_layout(const img::GridLayout& layout, RowBand rows) {
+  return img::GridLayout{rows.end - rows.begin + (rows.begin > 0 ? 1 : 0),
+                         layout.cols};
+}
+
+std::vector<img::TilePos> band_visit_order(const img::GridLayout& layout,
+                                           RowBand rows, Traversal traversal) {
+  const std::size_t first = rows.begin > 0 ? rows.begin - 1 : 0;
+  std::vector<img::TilePos> order =
+      traversal_order(band_layout(layout, rows), traversal);
+  for (img::TilePos& pos : order) pos.row += first;
+  return order;
+}
+
 }  // namespace hs::stitch

@@ -58,4 +58,14 @@ struct RowBand {
 };
 RowBand row_band(std::size_t rows, std::size_t band, std::size_t bands);
 
+/// The tiles a row band's pairs read: its rows plus, below the grid's first
+/// row, the halo row above (a pair belongs to the band of its moved tile, so
+/// the north pairs of the band's first row reach one row up).
+img::GridLayout band_layout(const img::GridLayout& layout, RowBand rows);
+
+/// band_layout(layout, rows) visited in `traversal` order, in grid
+/// coordinates. The whole grid's band visits exactly traversal_order().
+std::vector<img::TilePos> band_visit_order(const img::GridLayout& layout,
+                                           RowBand rows, Traversal traversal);
+
 }  // namespace hs::stitch

@@ -529,19 +529,26 @@ TEST(SimdPlanCache, ForcedTierJoinsTheCacheKey) {
 
 // --- option plumbing ------------------------------------------------------
 
-TEST(SimdOptions, KernelDispatchSerdeRoundTrips) {
+TEST(SimdOptions, OldKernelDispatchRecordReplaysWithoutForcingTier) {
+  // Records journaled while the tier was a per-job option carry an
+  // o.kernel_dispatch line. Unknown keys are ignored, so such a record
+  // still replays, and the job no longer forces the process tier.
+  const auto grid = testing::make_grid(2, 2);
+  stitch::MemoryTileProvider provider(&grid.tiles, grid.layout);
   stitch::StitchRequest request;
   request.backend = stitch::Backend::kSimpleCpu;
-  for (const auto d : kForcedTiers) {
-    request.options.kernel_dispatch = d;
-    const auto back =
-        stitch::deserialize_request(stitch::serialize_request(request));
-    EXPECT_EQ(back.options.kernel_dispatch, d) << common::dispatch_name(d);
+  request.options = testing::fast_options();
+  ScopedKernelDispatch process_tier(KernelDispatch::kAuto);
+  for (const char* old : {"scalar", "sse2", "warp9"}) {
+    stitch::StitchRequest replayed = stitch::deserialize_request(
+        stitch::serialize_request(request) + "o.kernel_dispatch=" + old +
+        "\n");
+    replayed.provider = &provider;
+    const auto result = stitch::stitch(replayed);
+    EXPECT_EQ(testing::truth_accuracy(grid, result.table), 1.0) << old;
+    EXPECT_EQ(common::forced_tier(), KernelDispatch::kAuto) << old;
+    EXPECT_EQ(common::active_tier(), common::detected_tier()) << old;
   }
-  EXPECT_THROW(
-      stitch::deserialize_request("backend=simple-cpu\n"
-                                  "o.kernel_dispatch=warp9\n"),
-      IoError);
 }
 
 // --- end-to-end: displacement tables are tier-invariant -------------------
@@ -554,19 +561,14 @@ TEST_P(AllBackendsAllTiers, TableBitIdenticalToScalarReference) {
   const auto [backend, dispatch] = GetParam();
   const auto grid = testing::make_grid(3, 3);
   stitch::MemoryTileProvider provider(&grid.tiles, grid.layout);
-  auto options = testing::fast_options();
+  const auto options = testing::fast_options();
 
-  options.kernel_dispatch = KernelDispatch::kScalar;
-  const auto reference =
-      stitch::stitch(stitch::Backend::kSimpleCpu, provider, options);
-
-  // stitch() forces the tier process-wide and deliberately leaves kAuto
-  // requests on the previous forcing (a CLI/env setting must survive serve
-  // jobs) — reset between runs so kAuto below really means "detected".
-  common::set_forced_tier(KernelDispatch::kAuto);
-  options.kernel_dispatch = dispatch;
+  const auto reference = [&] {
+    ScopedKernelDispatch forced(KernelDispatch::kScalar);
+    return stitch::stitch(stitch::Backend::kSimpleCpu, provider, options);
+  }();
+  ScopedKernelDispatch forced(dispatch);
   const auto result = stitch::stitch(backend, provider, options);
-  common::set_forced_tier(KernelDispatch::kAuto);
   EXPECT_TRUE(testing::tables_identical(reference.table, result.table))
       << stitch::backend_name(backend) << " under "
       << common::dispatch_name(dispatch);

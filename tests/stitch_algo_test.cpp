@@ -9,6 +9,7 @@
 #include "fft/plan_cache.hpp"
 #include "simdata/plate.hpp"
 #include "stitch/ccf.hpp"
+#include "stitch/ledger.hpp"
 #include "stitch/pciam.hpp"
 #include "stitch/transform_cache.hpp"
 #include "stitch/traversal.hpp"
@@ -241,12 +242,49 @@ TEST(Traversal, UnknownNameThrows) {
 
 // --- transform cache ---------------------------------------------------------------
 
+/// Initial reference counts for a cache serving every remaining pair of
+/// row band `rows`.
+std::vector<std::size_t> band_refcounts(const img::GridLayout& layout,
+                                        RowBand rows,
+                                        const DisplacementTable* warm = nullptr) {
+  return pair_refcounts(
+      layout, band_pairs(layout, rows, Traversal::kRow, WarmFilter(warm)));
+}
+
 TEST(TransformCache, PairDegreeMatchesPosition) {
+  // Cold start: a tile's count is its degree in the pair graph.
   const img::GridLayout layout{3, 3};
-  EXPECT_EQ(TransformCache::pair_degree(layout, {0, 0}), 2u);
-  EXPECT_EQ(TransformCache::pair_degree(layout, {0, 1}), 3u);
-  EXPECT_EQ(TransformCache::pair_degree(layout, {1, 1}), 4u);
-  EXPECT_EQ(TransformCache::pair_degree(img::GridLayout{1, 1}, {0, 0}), 0u);
+  const auto at = [&](img::TilePos pos) { return layout.index_of(pos); };
+  const auto refs = band_refcounts(layout, {0, 3});
+  EXPECT_EQ(refs[at({0, 0})], 2u);
+  EXPECT_EQ(refs[at({0, 1})], 3u);
+  EXPECT_EQ(refs[at({1, 1})], 4u);
+  EXPECT_EQ(band_refcounts(img::GridLayout{1, 1}, {0, 1}), std::vector<std::size_t>{0});
+
+  // Warm start: a settled pair (computed, or failed by a quarantine) drops
+  // one count from each of its two tiles and from no other tile.
+  DisplacementTable warm(layout);
+  warm.west_of({1, 1}) = Translation{40, 1, 0.9};
+  warm.north_status[at({2, 1})] = PairStatus::kFailed;
+  const auto shrunk = band_refcounts(layout, {0, 3}, &warm);
+  EXPECT_EQ(shrunk[at({1, 1})], 2u);
+  EXPECT_EQ(shrunk[at({1, 0})], 2u);
+  EXPECT_EQ(shrunk[at({2, 1})], 2u);
+  EXPECT_EQ(shrunk[at({0, 1})], 3u);
+  std::size_t total = 0, shrunk_total = 0;
+  for (std::size_t i = 0; i < layout.tile_count(); ++i) {
+    total += refs[i];
+    shrunk_total += shrunk[i];
+  }
+  EXPECT_EQ(shrunk_total + 4, total);
+
+  // A band counts only its own pairs: the halo row above it is read by the
+  // band's north pairs alone, so its count reaches zero with them.
+  const auto band = band_refcounts(layout, {1, 3});
+  EXPECT_EQ(band[at({0, 0})], 1u);
+  EXPECT_EQ(band[at({0, 1})], 1u);
+  EXPECT_EQ(band[at({1, 0})], 3u);
+  EXPECT_EQ(band[at({1, 1})], 4u);
 }
 
 TEST(TransformCache, ComputesOnceAndFreesAtZero) {
@@ -259,7 +297,8 @@ TEST(TransformCache, ComputesOnceAndFreesAtZero) {
   MemoryTileProvider provider(&grid.tiles, grid.layout);
   const auto pipeline = make_fft_pipeline(32, 32, fft::Rigor::kEstimate, false);
   OpCountsAtomic counts;
-  TransformCache cache(provider, pipeline, &counts);
+  TransformCache cache(provider, pipeline, &counts,
+                       band_refcounts(grid.layout, {0, grid.layout.rows}));
 
   const fft::Complex* first = cache.transform({0, 0});
   const fft::Complex* second = cache.transform({0, 0});
@@ -284,7 +323,8 @@ TEST(TransformCache, TileAccessibleWhileLive) {
   const auto grid = sim::make_synthetic_grid(acq);
   MemoryTileProvider provider(&grid.tiles, grid.layout);
   const auto pipeline = make_fft_pipeline(16, 16, fft::Rigor::kEstimate, false);
-  TransformCache cache(provider, pipeline, nullptr);
+  TransformCache cache(provider, pipeline, nullptr,
+                       band_refcounts(grid.layout, {0, grid.layout.rows}));
   cache.transform({0, 1});
   const img::ImageU16& tile = cache.tile({0, 1});
   EXPECT_EQ(tile.at(3, 3), grid.tile({0, 1}).at(3, 3));
@@ -302,7 +342,8 @@ TEST(TransformCache, HalfSpectrumHalvesPeakBytes) {
   auto peak_bytes = [&](bool real_fft) {
     const auto pipeline =
         make_fft_pipeline(32, 48, fft::Rigor::kEstimate, real_fft);
-    TransformCache cache(provider, pipeline, nullptr);
+    TransformCache cache(provider, pipeline, nullptr,
+                         band_refcounts(grid.layout, {0, grid.layout.rows}));
     for (std::size_t r = 0; r < 2; ++r) {
       for (std::size_t c = 0; c < 3; ++c) cache.transform({r, c});
     }

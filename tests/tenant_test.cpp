@@ -213,20 +213,22 @@ TEST(TransformCacheReleaseTest, TolerantAfterFailedCompute) {
   const std::int64_t resident_before =
       metrics::wellknown::transform_cache_resident_bytes().value();
   {
-    stitch::TransformCache cache(provider, pipeline, &counts);
+    const std::vector<std::size_t> refs = stitch::pair_refcounts(
+        grid.layout,
+        stitch::band_pairs(grid.layout, stitch::RowBand{0, grid.layout.rows},
+                           stitch::Traversal::kRow, stitch::WarmFilter()));
+    stitch::TransformCache cache(provider, pipeline, &counts, refs);
     EXPECT_THROW(cache.transform(poison), IoError);
     // Every consumer of the poisoned tile still releases its reference,
     // exactly as the quarantine path does after a failed pair. This used
     // to assert on state == kReady and die.
-    const std::size_t degree =
-        stitch::TransformCache::pair_degree(grid.layout, poison);
+    const std::size_t degree = refs[grid.layout.index_of(poison)];
     for (std::size_t i = 0; i < degree; ++i) cache.release(poison);
     EXPECT_EQ(cache.live_transforms(), 0u);
 
     // A healthy neighbour is unaffected.
     EXPECT_NE(cache.transform({0, 0}), nullptr);
-    const std::size_t healthy_degree =
-        stitch::TransformCache::pair_degree(grid.layout, {0, 0});
+    const std::size_t healthy_degree = refs[grid.layout.index_of({0, 0})];
     for (std::size_t i = 0; i < healthy_degree; ++i) cache.release({0, 0});
   }
   // The entry never committed, so it must never have been charged to the
