@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "gbench_json.hpp"
@@ -193,6 +194,40 @@ BENCHMARK(BM_U16ToRealDispatch)
     ->Arg(static_cast<int>(hs::common::KernelDispatch::kAuto))
     ->Repetitions(3);
 
+// --- CRC32C on the serve path: one 260x348 u16 tile (the content digest
+// of every tile of every job) and one 260x348 complex spectrum (every spill
+// frame write and load). BM_Crc32c is the dispatched path; BM_Crc32cTable
+// the portable table loop it falls back to without SSE4.2.
+
+std::vector<unsigned char> random_bytes(std::size_t n) {
+  hs::Rng rng(n ^ 0xc3c3);
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  return out;
+}
+
+void BM_Crc32c(benchmark::State& state) {
+  const auto bytes = random_bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hs::crc32c(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+  state.SetLabel(hs::detail::crc32c_hardware() ? "sse4.2" : "table");
+}
+BENCHMARK(BM_Crc32c)->Arg(180960)->Arg(1447680)->Repetitions(3);
+
+void BM_Crc32cTable(benchmark::State& state) {
+  const auto bytes = random_bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        hs::detail::crc32c_table(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32cTable)->Arg(180960)->Arg(1447680)->Repetitions(3);
+
 }  // namespace
 
 // Custom main (see bench_fft.cpp): console output plus the
@@ -222,6 +257,8 @@ int main(int argc, char** argv) {
         "BM_MaxAbsDispatch/-1");
   ratio("u16_to_real_auto_over_scalar_speedup", "BM_U16ToRealDispatch/0",
         "BM_U16ToRealDispatch/-1");
+  ratio("crc32c_auto_over_table_speedup", "BM_Crc32cTable/1447680",
+        "BM_Crc32c/1447680");
 
   if (!json_out.empty() && !rows.empty()) {
     if (!hs::benchjson::write_json(json_out, "kernels", rows, derived)) {

@@ -70,32 +70,63 @@ std::uint64_t get_u64(const char* p) {
          (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
 }
 
-std::string frame_bytes(std::uint32_t magic, const std::string& payload) {
+/// Starts a frame in one buffer sized for the whole of it: magic, payload
+/// length, and a zero CRC that seal_frame patches once the payload is in.
+std::string begin_frame(std::uint32_t magic, std::size_t payload_bytes) {
   std::string frame;
-  frame.reserve(kFrameHeader + payload.size());
+  frame.reserve(kFrameHeader + payload_bytes);
   put_u32(frame, magic);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32c(payload));
-  frame += payload;
+  put_u32(frame, static_cast<std::uint32_t>(payload_bytes));
+  put_u32(frame, 0);
   return frame;
 }
 
-std::string spectrum_payload(const SpectrumKey& key,
-                             const std::vector<fft::Complex>& bins) {
-  std::string payload;
-  payload.reserve(kSpectrumHeaderBytes + bins.size() * sizeof(fft::Complex));
-  put_u64(payload, key.digest);
-  put_u32(payload, key.height);
-  put_u32(payload, key.width);
-  payload.push_back(key.real_fft ? 1 : 0);
-  payload.push_back(static_cast<char>(key.tier));
-  put_u16(payload, fft::kNumericsVersion);
-  put_u64(payload, bins.size());
+/// Writes crc32c(payload) into bytes 8..11 of a frame begun by begin_frame.
+void seal_frame(std::string& frame) {
+  const std::uint32_t crc =
+      crc32c(frame.data() + kFrameHeader, frame.size() - kFrameHeader);
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[8 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
+}
+
+std::string spectrum_frame(const SpectrumKey& key,
+                           const std::vector<fft::Complex>& bins) {
+  const std::size_t bin_bytes = bins.size() * sizeof(fft::Complex);
+  std::string frame =
+      begin_frame(kSpectrumMagic, kSpectrumHeaderBytes + bin_bytes);
+  put_u64(frame, key.digest);
+  put_u32(frame, key.height);
+  put_u32(frame, key.width);
+  frame.push_back(key.real_fft ? 1 : 0);
+  frame.push_back(static_cast<char>(key.tier));
+  put_u16(frame, fft::kNumericsVersion);
+  put_u64(frame, bins.size());
   // Raw IEEE bytes round-trip bit-exactly, which is what keeps spill hits
   // inside the backends' bit-identity guarantees.
-  payload.append(reinterpret_cast<const char*>(bins.data()),
-                 bins.size() * sizeof(fft::Complex));
-  return payload;
+  frame.append(reinterpret_cast<const char*>(bins.data()), bin_bytes);
+  seal_frame(frame);
+  return frame;
+}
+
+std::string pair_frame(const PairKey& key, const Translation& value) {
+  std::string frame = begin_frame(kPairMagic, kPairPayloadBytes);
+  put_u64(frame, key.digest_reference);
+  put_u64(frame, key.digest_moved);
+  put_u32(frame, key.height);
+  put_u32(frame, key.width);
+  frame.push_back(key.real_fft ? 1 : 0);
+  frame.push_back(static_cast<char>(key.tier));
+  put_u16(frame, fft::kNumericsVersion);
+  put_u32(frame, key.peak_candidates);
+  put_u64(frame, static_cast<std::uint64_t>(key.min_overlap_px));
+  put_u64(frame, static_cast<std::uint64_t>(value.x));
+  put_u64(frame, static_cast<std::uint64_t>(value.y));
+  std::uint64_t corr_bits = 0;
+  std::memcpy(&corr_bits, &value.correlation, sizeof(corr_bits));
+  put_u64(frame, corr_bits);
+  seal_frame(frame);
+  return frame;
 }
 
 enum class FrameCheck { kValid, kStale, kCorrupt };
@@ -301,6 +332,9 @@ void SpectrumStore::replay_pair_log() {
 
 bool SpectrumStore::put(const SpectrumKey& key,
                         const std::vector<fft::Complex>& bins) {
+  // Copy and checksum the megabyte-scale frame before taking the store-wide
+  // lock, so concurrent puts, loads and pair lookups never wait on it.
+  const std::string frame = spectrum_frame(key, bins);
   std::lock_guard<std::mutex> lock(mutex_);
   if (index_.find(key) != index_.end()) return true;  // content-addressed
   if (config_.faults != nullptr &&
@@ -311,8 +345,6 @@ bool SpectrumStore::put(const SpectrumKey& key,
     metric_write_failures_.add();
     return false;
   }
-  const std::string frame = frame_bytes(kSpectrumMagic,
-                                        spectrum_payload(key, bins));
   const std::string path = frame_path(key);
   const std::string tmp = path + ".tmp";
   if (!write_file(tmp, frame)) {
@@ -395,6 +427,7 @@ bool SpectrumStore::contains(const SpectrumKey& key) const {
 }
 
 void SpectrumStore::put_pair(const PairKey& key, const Translation& value) {
+  const std::string frame = pair_frame(key, value);
   std::lock_guard<std::mutex> lock(mutex_);
   if (pairs_.find(key) != pairs_.end()) return;  // first writer wins
   if (config_.faults != nullptr &&
@@ -404,32 +437,14 @@ void SpectrumStore::put_pair(const PairKey& key, const Translation& value) {
     metric_write_failures_.add();
     return;
   }
-  if (append_pair_locked(key, value)) {
+  if (append_pair_locked(frame)) {
     pairs_.emplace(key, value);
     stats_.pairs = pairs_.size();
   }
 }
 
-bool SpectrumStore::append_pair_locked(const PairKey& key,
-                                       const Translation& value) {
+bool SpectrumStore::append_pair_locked(const std::string& frame) {
   if (pair_log_ == nullptr) return false;
-  std::string payload;
-  payload.reserve(kPairPayloadBytes);
-  put_u64(payload, key.digest_reference);
-  put_u64(payload, key.digest_moved);
-  put_u32(payload, key.height);
-  put_u32(payload, key.width);
-  payload.push_back(key.real_fft ? 1 : 0);
-  payload.push_back(static_cast<char>(key.tier));
-  put_u16(payload, fft::kNumericsVersion);
-  put_u32(payload, key.peak_candidates);
-  put_u64(payload, static_cast<std::uint64_t>(key.min_overlap_px));
-  put_u64(payload, static_cast<std::uint64_t>(value.x));
-  put_u64(payload, static_cast<std::uint64_t>(value.y));
-  std::uint64_t corr_bits = 0;
-  std::memcpy(&corr_bits, &value.correlation, sizeof(corr_bits));
-  put_u64(payload, corr_bits);
-  const std::string frame = frame_bytes(kPairMagic, payload);
   std::fseek(pair_log_, 0, SEEK_END);
   const long offset = std::ftell(pair_log_);
   if (std::fwrite(frame.data(), 1, frame.size(), pair_log_) != frame.size() ||

@@ -98,7 +98,7 @@ class SpectrumStore {
 
   void recover();
   void replay_pair_log();
-  bool append_pair_locked(const PairKey& key, const Translation& value);
+  bool append_pair_locked(const std::string& frame);
   std::string frame_path(const SpectrumKey& key) const;
   std::string pair_log_path() const;
 

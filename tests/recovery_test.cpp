@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -24,6 +25,7 @@
 #include "common/error.hpp"
 #include "fault/plan.hpp"
 #include "fault/provider.hpp"
+#include "fft/types.hpp"
 #include "serve/journal.hpp"
 #include "serve/service.hpp"
 #include "stitch/request.hpp"
@@ -912,6 +914,88 @@ TEST_F(SpillRecoveryTest, SpectrumFramesSurviveRestartBitIdentical) {
   stitch::Translation out;
   ASSERT_TRUE(reopened.load_pair(pkey, &out));
   EXPECT_TRUE(out == t);
+}
+
+/// Little-endian field encoder for frames assembled by hand.
+struct LeBytes {
+  std::string bytes;
+  LeBytes& u(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    }
+    return *this;
+  }
+};
+
+/// [magic][length][crc32c(payload)][payload], sealed with the table-loop
+/// CRC — the reference a store written by any earlier build used.
+std::string reference_frame(std::uint32_t magic, const std::string& payload) {
+  return LeBytes{}
+             .u(magic, 4)
+             .u(payload.size(), 4)
+             .u(detail::crc32c_table(payload.data(), payload.size()), 4)
+             .bytes +
+         payload;
+}
+
+TEST_F(SpillRecoveryTest, FrameBytesMatchTheTableLoopReference) {
+  // The on-disk bytes of a spectrum frame and a pair-log record are pinned
+  // field by field: whichever CRC implementation runs, a spill directory
+  // written by one build loads in any other.
+  const std::string spill = dir_ + "/spill";
+  stitch::SpectrumKey key;
+  key.digest = 0xFEDCBA9876543210ull;
+  key.height = 5;
+  key.width = 7;
+  key.real_fft = true;
+  key.tier = common::SimdTier::kAvx2;
+  std::vector<fft::Complex> bins(5 * 4);
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    bins[i] = fft::Complex{1.0 / (3.0 + i), -0.25 * static_cast<double>(i)};
+  }
+  stitch::PairKey pkey;
+  pkey.digest_reference = 0x1111222233334444ull;
+  pkey.digest_moved = 0x5555666677778888ull;
+  pkey.height = 5;
+  pkey.width = 7;
+  pkey.real_fft = true;
+  pkey.tier = common::SimdTier::kSse2;
+  pkey.peak_candidates = 3;
+  pkey.min_overlap_px = -9;
+  const stitch::Translation t{-12, 34, 0.9375};
+  {
+    stitch::SpectrumStore store({spill, nullptr});
+    ASSERT_TRUE(store.put(key, bins));
+    store.put_pair(pkey, t);
+  }
+
+  LeBytes spectrum;
+  spectrum.u(key.digest, 8).u(key.height, 4).u(key.width, 4).u(1, 1);
+  spectrum.u(static_cast<std::uint64_t>(key.tier), 1)
+      .u(fft::kNumericsVersion, 2)
+      .u(bins.size(), 8);
+  spectrum.bytes.append(reinterpret_cast<const char*>(bins.data()),
+                        bins.size() * sizeof(fft::Complex));
+  const std::vector<std::string> frames = spill_frames(spill);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(read_bytes(frames[0]), reference_frame(0x46535348u /* HSSF */,
+                                                   spectrum.bytes));
+
+  std::uint64_t corr_bits = 0;
+  std::memcpy(&corr_bits, &t.correlation, sizeof(corr_bits));
+  LeBytes pair;
+  pair.u(pkey.digest_reference, 8).u(pkey.digest_moved, 8);
+  pair.u(pkey.height, 4).u(pkey.width, 4).u(1, 1);
+  pair.u(static_cast<std::uint64_t>(pkey.tier), 1)
+      .u(fft::kNumericsVersion, 2)
+      .u(pkey.peak_candidates, 4)
+      .u(static_cast<std::uint64_t>(pkey.min_overlap_px), 8)
+      .u(static_cast<std::uint64_t>(t.x), 8)
+      .u(static_cast<std::uint64_t>(t.y), 8)
+      .u(corr_bits, 8);
+  ASSERT_EQ(pair.bytes.size(), 64u);
+  EXPECT_EQ(read_bytes(spill + "/pairs.log"),
+            reference_frame(0x52505348u /* HSPR */, pair.bytes));
 }
 
 TEST_F(SpillRecoveryTest, BitFlippedFrameAtRestartIsDetectedAndRecomputed) {
