@@ -90,11 +90,13 @@ void BM_Fft2d(benchmark::State& state) {
 }
 // 260x348 is the paper tile at 1/4 scale per side (same prime structure:
 // 348 = 2^2*3*29, 260 = 2^2*5*13); 256x256 the smooth reference;
-// 270x350 the padded target.
+// 270x350 the padded target; 1040x1392 the full paper tile, which no
+// longer fits in cache.
 BENCHMARK(BM_Fft2d)
     ->Args({256, 256})
     ->Args({260, 348})
-    ->Args({270, 350})->Repetitions(3);
+    ->Args({270, 350})
+    ->Args({1040, 1392})->Repetitions(3);
 
 void BM_Fft2dRealToComplex(benchmark::State& state) {
   // The paper's future-work optimization: real-to-complex transforms "do
@@ -111,7 +113,10 @@ void BM_Fft2dRealToComplex(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_Fft2dRealToComplex)->Args({256, 256})->Args({260, 348})->Repetitions(3);
+BENCHMARK(BM_Fft2dRealToComplex)
+    ->Args({256, 256})
+    ->Args({260, 348})
+    ->Args({1040, 1392})->Repetitions(3);
 
 void BM_Fft2dComplexToReal(benchmark::State& state) {
   // Inverse leg of the half-spectrum pipeline: Hermitian bins back to a
@@ -131,7 +136,10 @@ void BM_Fft2dComplexToReal(benchmark::State& state) {
     benchmark::DoNotOptimize(back.data());
   }
 }
-BENCHMARK(BM_Fft2dComplexToReal)->Args({256, 256})->Args({260, 348})->Repetitions(3);
+BENCHMARK(BM_Fft2dComplexToReal)
+    ->Args({256, 256})
+    ->Args({260, 348})
+    ->Args({1040, 1392})->Repetitions(3);
 
 void BM_Fft2dTwoForOne(benchmark::State& state) {
   // Both tiles of a pair through one complex transform (the NaivePairwise

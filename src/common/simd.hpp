@@ -3,7 +3,7 @@
 // The paper hand-vectorized its NCC and max-reduction kernels with SSE
 // intrinsics because the compiler "was not generating such code"; this
 // module generalizes that to a small codelet system: every vectorized hot
-// path (FFT butterflies, transpose, NCC, reductions, pixel widening) ships
+// path (FFT butterflies, NCC, reductions, pixel widening) ships
 // a scalar reference plus SSE2 and AVX2 variants, and the variant actually
 // executed is chosen at run/plan time from the CPU's capabilities.
 //

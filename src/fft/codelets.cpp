@@ -1,6 +1,5 @@
 #include "fft/codelets.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -13,60 +12,76 @@ namespace hs::fft::codelets {
 namespace detail {
 
 // The bit-identity references every vector variant is tested against. All
-// but bfr are the loop bodies plan1d.cpp / plan2d.cpp / real.cpp inlined
-// before the codelet split, verbatim.
+// but bfr are the loop bodies plan1d.cpp / real.cpp inlined before the
+// codelet split, verbatim.
 
-void bf2_scalar(Complex* out, const Complex* tw, std::size_t m) {
+void bf2_scalar(Complex* out, const Complex* tw, std::size_t m,
+                std::size_t lanes) {
+  const std::size_t step = m * lanes;
   for (std::size_t k = 0; k < m; ++k) {
-    const Complex a = out[k];
-    const Complex b = out[m + k] * tw[m + k];
-    out[k] = a + b;
-    out[m + k] = a - b;
+    const Complex w = tw[m + k];
+    for (std::size_t e = k * lanes; e < (k + 1) * lanes; ++e) {
+      const Complex a = out[e];
+      const Complex b = out[step + e] * w;
+      out[e] = a + b;
+      out[step + e] = a - b;
+    }
   }
 }
 
-void bf4_scalar(Complex* out, const Complex* tw, std::size_t m, bool forward) {
+void bf4_scalar(Complex* out, const Complex* tw, std::size_t m,
+                bool forward, std::size_t lanes) {
+  const std::size_t step = m * lanes;
   for (std::size_t k = 0; k < m; ++k) {
-    const Complex a0 = out[k];
-    const Complex a1 = out[m + k] * tw[m + k];
-    const Complex a2 = out[2 * m + k] * tw[2 * m + k];
-    const Complex a3 = out[3 * m + k] * tw[3 * m + k];
-    const Complex t0 = a0 + a2;
-    const Complex t1 = a0 - a2;
-    const Complex t2 = a1 + a3;
-    const Complex t3 = a1 - a3;
-    // W_4^1 is -i forward, +i inverse.
-    const Complex t3w = forward ? Complex(t3.imag(), -t3.real())
-                                : Complex(-t3.imag(), t3.real());
-    out[k] = t0 + t2;
-    out[2 * m + k] = t0 - t2;
-    out[m + k] = t1 + t3w;
-    out[3 * m + k] = t1 - t3w;
+    const Complex w1 = tw[m + k];
+    const Complex w2 = tw[2 * m + k];
+    const Complex w3 = tw[3 * m + k];
+    for (std::size_t e = k * lanes; e < (k + 1) * lanes; ++e) {
+      const Complex a0 = out[e];
+      const Complex a1 = out[step + e] * w1;
+      const Complex a2 = out[2 * step + e] * w2;
+      const Complex a3 = out[3 * step + e] * w3;
+      const Complex t0 = a0 + a2;
+      const Complex t1 = a0 - a2;
+      const Complex t2 = a1 + a3;
+      const Complex t3 = a1 - a3;
+      // W_4^1 is -i forward, +i inverse.
+      const Complex t3w = forward ? Complex(t3.imag(), -t3.real())
+                                  : Complex(-t3.imag(), t3.real());
+      out[e] = t0 + t2;
+      out[2 * step + e] = t0 - t2;
+      out[step + e] = t1 + t3w;
+      out[3 * step + e] = t1 - t3w;
+    }
   }
 }
 
 void bfr_column_scalar(Complex* out, const Complex* tw, const double* wr,
-                       int r, std::size_t m, std::size_t k) {
+                       int r, std::size_t m, std::size_t lanes, std::size_t k,
+                       std::size_t b) {
   const int h = (r - 1) / 2;
   const std::size_t row = odd_radix_row(r);
   const double* cs = wr;
   const double* sn = wr + 2 * static_cast<std::size_t>(h) * row;
+  // Element j of this column is col[j * step]; its twiddle is tw[j*m + k].
+  Complex* col = out + k * lanes + b;
+  const std::size_t step = m * lanes;
   Complex s[kMaxDirectRadix / 2 + 1];
   Complex d[kMaxDirectRadix / 2 + 1];
-  const Complex t0 = out[k];
+  const Complex t0 = col[0];
   const auto input = [&](int j) {
-    const std::size_t at = static_cast<std::size_t>(j) * m + k;
-    return m == 1 ? out[at] : out[at] * tw[at];
+    const auto ju = static_cast<std::size_t>(j);
+    return m == 1 ? col[ju * step] : col[ju * step] * tw[ju * m + k];
   };
   Complex sum = t0;
   for (int j = 1; j <= h; ++j) {
     const Complex a = input(j);
-    const Complex b = input(r - j);
-    s[j] = a + b;
-    d[j] = a - b;
+    const Complex bj = input(r - j);
+    s[j] = a + bj;
+    d[j] = a - bj;
     sum += s[j];
   }
-  out[k] = sum;
+  col[0] = sum;
   for (int q = 1; q <= h; ++q) {
     // Entry (j, q) of a table half sits at 2 * ((j-1) * row + (q-1)).
     const double* c = cs + 2 * static_cast<std::size_t>(q - 1);
@@ -85,30 +100,16 @@ void bfr_column_scalar(Complex* out, const Complex* tw, const double* wr,
       br = br + w[at] * d[j].real();
       bi = bi + w[at] * d[j].imag();
     }
-    out[static_cast<std::size_t>(q) * m + k] = Complex(ar - bi, ai + br);
-    out[static_cast<std::size_t>(r - q) * m + k] = Complex(ar + bi, ai - br);
+    col[static_cast<std::size_t>(q) * step] = Complex(ar - bi, ai + br);
+    col[static_cast<std::size_t>(r - q) * step] = Complex(ar + bi, ai - br);
   }
 }
 
 void bfr_scalar(Complex* out, const Complex* tw, const double* wr, int r,
-                std::size_t m) {
+                std::size_t m, std::size_t lanes) {
   for (std::size_t k = 0; k < m; ++k) {
-    bfr_column_scalar(out, tw, wr, r, m, k);
-  }
-}
-
-void transpose_scalar(const Complex* in, Complex* out, std::size_t rows,
-                      std::size_t cols) {
-  constexpr std::size_t kBlock = 32;
-  for (std::size_t rb = 0; rb < rows; rb += kBlock) {
-    const std::size_t rend = std::min(rows, rb + kBlock);
-    for (std::size_t cb = 0; cb < cols; cb += kBlock) {
-      const std::size_t cend = std::min(cols, cb + kBlock);
-      for (std::size_t r = rb; r < rend; ++r) {
-        for (std::size_t c = cb; c < cend; ++c) {
-          out[c * rows + r] = in[r * cols + c];
-        }
-      }
+    for (std::size_t b = 0; b < lanes; ++b) {
+      bfr_column_scalar(out, tw, wr, r, m, lanes, k, b);
     }
   }
 }
@@ -165,20 +166,16 @@ const Set& scalar_set() {
                        detail::bf2_scalar,
                        detail::bf4_scalar,
                        detail::bfr_scalar,
-                       detail::transpose_scalar,
                        detail::r2c_untangle_scalar,
                        detail::c2r_retangle_scalar};
   return set;
 }
 
 const Set& sse2_set() {
-  // Transpose stays scalar: complexes are 16 bytes, so the blocked scalar
-  // copy already moves full registers and SSE2 adds nothing.
   static const Set set{common::SimdTier::kSse2,
                        detail::bf2_sse2,
                        detail::bf4_sse2,
                        detail::bfr_sse2,
-                       detail::transpose_scalar,
                        detail::r2c_untangle_sse2,
                        detail::c2r_retangle_sse2};
   return set;
@@ -189,7 +186,6 @@ const Set& avx2_set() {
                        detail::bf2_avx2,
                        detail::bf4_avx2,
                        detail::bfr_avx2,
-                       detail::transpose_avx2,
                        detail::r2c_untangle_avx2,
                        detail::c2r_retangle_avx2};
   return set;

@@ -12,8 +12,10 @@
 //     multiplies of the r x r complex DFT matrix. It is vectorized across
 //     the m sub-transform columns, and at the m = 1 leaf (where the planner
 //     puts the large odd radix) across output pairs (q, q+1).
-//   * transpose — the cache-blocked transpose both 2-D column passes run
-//     through.
+//   * All three butterflies also run `lanes` interleaved transforms at once
+//     (the batched 2-D passes): lane b of column k shares column k's
+//     twiddle, and the vector tiers pair adjacent lanes instead of adjacent
+//     columns. lanes == 1 is the single transform.
 //   * r2c_untangle / c2r_retangle — the even/odd packing arithmetic of the
 //     half-spectrum real transforms.
 //
@@ -37,15 +39,21 @@
 
 namespace hs::fft::codelets {
 
+// Lane layout shared by the butterflies: over `lanes` interleaved
+// transforms, element k of row j of lane b sits at out[(j*m + k)*lanes + b]
+// and takes twiddle tw[j*m + k], the same for every lane. Each lane runs
+// exactly the operation sequence of the lanes == 1 call on its own elements.
 struct Set {
   common::SimdTier tier;
 
   /// Radix-2 combine over one butterfly group: for k in [0, m)
   ///   b = out[m+k] * tw[m+k];  out[k] = a + b;  out[m+k] = a - b.
-  void (*bf2)(Complex* out, const Complex* tw, std::size_t m);
+  void (*bf2_fn)(Complex* out, const Complex* tw, std::size_t m,
+                 std::size_t lanes);
 
   /// Radix-4 combine; tw rows 1..3 hold the twiddles (row 0 is implied 1).
-  void (*bf4)(Complex* out, const Complex* tw, std::size_t m, bool forward);
+  void (*bf4_fn)(Complex* out, const Complex* tw, std::size_t m,
+                 bool forward, std::size_t lanes);
 
   /// Odd radix-r combine (r = 2h + 1, 3 <= r <= kMaxDirectRadix); wr is
   /// odd_radix_table(r, dir). With t_j the twiddled inputs, s_j = t_j +
@@ -55,13 +63,22 @@ struct Set {
   /// with A_q = t_0 + sum_j cos(jq) s_j and B_q = sum_j sin(jq) d_j, both
   /// summed in ascending j. tw rows 1..r-1 are read (row 0 is implied 1);
   /// at m == 1 the only column is k = 0, whose twiddles are all W^0 = 1,
-  /// so tw is not read at all.
-  void (*bfr)(Complex* out, const Complex* tw, const double* wr, int r,
-              std::size_t m);
+  /// so tw is not read at all (for any number of lanes).
+  void (*bfr_fn)(Complex* out, const Complex* tw, const double* wr, int r,
+                 std::size_t m, std::size_t lanes);
 
-  /// Cache-blocked transpose: in is rows x cols, out becomes cols x rows.
-  void (*transpose)(const Complex* in, Complex* out, std::size_t rows,
-                    std::size_t cols);
+  void bf2(Complex* out, const Complex* tw, std::size_t m,
+           std::size_t lanes = 1) const {
+    bf2_fn(out, tw, m, lanes);
+  }
+  void bf4(Complex* out, const Complex* tw, std::size_t m, bool forward,
+           std::size_t lanes = 1) const {
+    bf4_fn(out, tw, m, forward, lanes);
+  }
+  void bfr(Complex* out, const Complex* tw, const double* wr, int r,
+           std::size_t m, std::size_t lanes = 1) const {
+    bfr_fn(out, tw, wr, r, m, lanes);
+  }
 
   /// Half-spectrum untangle of the even/odd packed transform zf (length h)
   /// into bins out[0..h) using twiddles tw[0..h]; the Nyquist bin out[h]

@@ -14,8 +14,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-
 namespace hs::fft::codelets::detail {
 
 namespace {
@@ -102,152 +100,205 @@ void bfr_leaf_avx2(Complex* out, const double* cs, const double* sn, int r,
   }
 }
 
-}  // namespace
+// Broadcasts one complex to both halves: the twiddle every lane of a
+// column shares.
+inline __m256d cbcast2(const Complex* p) {
+  return _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(p));
+}
 
-void bf2_avx2(Complex* out, const Complex* tw, std::size_t m) {
-  std::size_t k = 0;
-  for (; k + 2 <= m; k += 2) {
-    const __m256d a = cload2(out + k);
-    const __m256d b = cmul2(cload2(out + m + k), cload2(tw + m + k));
-    cstore2(out + k, _mm256_add_pd(a, b));
-    cstore2(out + m + k, _mm256_sub_pd(a, b));
+// One radix-2 / radix-4 element in the scalar reference's exact sequence;
+// the vector loops' odd tails.
+inline void bf2_one(Complex* out, std::size_t step, std::size_t e,
+                    Complex w) {
+  const Complex a = out[e];
+  const Complex b = out[step + e] * w;
+  out[e] = a + b;
+  out[step + e] = a - b;
+}
+
+inline void bf4_one(Complex* out, std::size_t step, std::size_t e,
+                    Complex w1, Complex w2, Complex w3, bool forward) {
+  const Complex a0 = out[e];
+  const Complex a1 = out[step + e] * w1;
+  const Complex a2 = out[2 * step + e] * w2;
+  const Complex a3 = out[3 * step + e] * w3;
+  const Complex t0 = a0 + a2;
+  const Complex t1 = a0 - a2;
+  const Complex t2 = a1 + a3;
+  const Complex t3 = a1 - a3;
+  const Complex t3w = forward ? Complex(t3.imag(), -t3.real())
+                              : Complex(-t3.imag(), t3.real());
+  out[e] = t0 + t2;
+  out[2 * step + e] = t0 - t2;
+  out[step + e] = t1 + t3w;
+  out[3 * step + e] = t1 - t3w;
+}
+
+inline void bf4_pair(Complex* out, std::size_t step, std::size_t e,
+                     __m256d w1, __m256d w2, __m256d w3, __m256d rot) {
+  const __m256d a0 = cload2(out + e);
+  const __m256d a1 = cmul2(cload2(out + step + e), w1);
+  const __m256d a2 = cmul2(cload2(out + 2 * step + e), w2);
+  const __m256d a3 = cmul2(cload2(out + 3 * step + e), w3);
+  const __m256d t0 = _mm256_add_pd(a0, a2);
+  const __m256d t1 = _mm256_sub_pd(a0, a2);
+  const __m256d t2 = _mm256_add_pd(a1, a3);
+  const __m256d t3 = _mm256_sub_pd(a1, a3);
+  const __m256d t3w = _mm256_xor_pd(_mm256_permute_pd(t3, 0x5), rot);
+  cstore2(out + e, _mm256_add_pd(t0, t2));
+  cstore2(out + 2 * step + e, _mm256_sub_pd(t0, t2));
+  cstore2(out + step + e, _mm256_add_pd(t1, t3w));
+  cstore2(out + 3 * step + e, _mm256_sub_pd(t1, t3w));
+}
+
+// Two odd-radix columns per register, constants broadcast: element j of the
+// pair sits at col[j * step], and twiddle(j) yields the pair's twiddles
+// (unused when m == 1, whose twiddles are all 1).
+template <class Twiddle>
+inline void bfr_pair(Complex* col, std::size_t step, std::size_t m,
+                     Twiddle twiddle, const double* cs, const double* sn,
+                     int r, int h, std::size_t row) {
+  const __m256d neg_re = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
+  __m256d s[kMaxDirectRadix / 2 + 1];
+  __m256d d[kMaxDirectRadix / 2 + 1];
+  const auto input = [&](int j) {
+    const __m256d x = cload2(col + static_cast<std::size_t>(j) * step);
+    return m == 1 ? x : cmul2(x, twiddle(j));
+  };
+  const __m256d t0 = cload2(col);
+  __m256d sum = t0;
+  for (int j = 1; j <= h; ++j) {
+    const __m256d a = input(j);
+    const __m256d b = input(r - j);
+    s[j] = _mm256_add_pd(a, b);
+    d[j] = _mm256_sub_pd(a, b);
+    sum = _mm256_add_pd(sum, s[j]);
   }
-  for (; k < m; ++k) {
-    const Complex a = out[k];
-    const Complex b = out[m + k] * tw[m + k];
-    out[k] = a + b;
-    out[m + k] = a - b;
+  cstore2(col, sum);
+  for (int q = 1; q <= h; ++q) {
+    const double* c = cs + 2 * static_cast<std::size_t>(q - 1);
+    const double* w = sn + 2 * static_cast<std::size_t>(q - 1);
+    __m256d acc_a = t0;
+    __m256d acc_b = _mm256_mul_pd(
+        _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w)), d[1]);
+    for (int j = 1; j <= h; ++j) {
+      const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
+      acc_a = _mm256_add_pd(
+          acc_a,
+          _mm256_mul_pd(
+              _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(c + at)),
+              s[j]));
+    }
+    for (int j = 2; j <= h; ++j) {
+      const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
+      acc_b = _mm256_add_pd(
+          acc_b,
+          _mm256_mul_pd(
+              _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w + at)),
+              d[j]));
+    }
+    const __m256d ib = _mm256_xor_pd(_mm256_permute_pd(acc_b, 0x5), neg_re);
+    cstore2(col + static_cast<std::size_t>(q) * step, _mm256_add_pd(acc_a, ib));
+    cstore2(col + static_cast<std::size_t>(r - q) * step,
+            _mm256_sub_pd(acc_a, ib));
   }
 }
 
-void bf4_avx2(Complex* out, const Complex* tw, std::size_t m, bool forward) {
+}  // namespace
+
+// lanes == 1 pairs adjacent columns (k, k+1). lanes > 1 pairs adjacent
+// lanes of one column under its broadcast twiddle; an odd lane count leaves
+// one scalar lane per column.
+
+void bf2_avx2(Complex* out, const Complex* tw, std::size_t m,
+              std::size_t lanes) {
+  if (lanes == 1) {
+    std::size_t k = 0;
+    for (; k + 2 <= m; k += 2) {
+      const __m256d a = cload2(out + k);
+      const __m256d b = cmul2(cload2(out + m + k), cload2(tw + m + k));
+      cstore2(out + k, _mm256_add_pd(a, b));
+      cstore2(out + m + k, _mm256_sub_pd(a, b));
+    }
+    for (; k < m; ++k) bf2_one(out, m, k, tw[m + k]);
+    return;
+  }
+  const std::size_t step = m * lanes;
+  for (std::size_t k = 0; k < m; ++k) {
+    const __m256d w = cbcast2(tw + m + k);
+    std::size_t e = k * lanes;
+    const std::size_t end = e + lanes;
+    for (; e + 2 <= end; e += 2) {
+      const __m256d a = cload2(out + e);
+      const __m256d b = cmul2(cload2(out + step + e), w);
+      cstore2(out + e, _mm256_add_pd(a, b));
+      cstore2(out + step + e, _mm256_sub_pd(a, b));
+    }
+    if (e < end) bf2_one(out, step, e, tw[m + k]);
+  }
+}
+
+void bf4_avx2(Complex* out, const Complex* tw, std::size_t m,
+              bool forward, std::size_t lanes) {
   // forward: t3w = (t3.im, -t3.re); inverse: t3w = (-t3.im, t3.re).
   const __m256d rot = forward ? _mm256_set_pd(-0.0, 0.0, -0.0, 0.0)
                               : _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
-  std::size_t k = 0;
-  for (; k + 2 <= m; k += 2) {
-    const __m256d a0 = cload2(out + k);
-    const __m256d a1 = cmul2(cload2(out + m + k), cload2(tw + m + k));
-    const __m256d a2 = cmul2(cload2(out + 2 * m + k), cload2(tw + 2 * m + k));
-    const __m256d a3 = cmul2(cload2(out + 3 * m + k), cload2(tw + 3 * m + k));
-    const __m256d t0 = _mm256_add_pd(a0, a2);
-    const __m256d t1 = _mm256_sub_pd(a0, a2);
-    const __m256d t2 = _mm256_add_pd(a1, a3);
-    const __m256d t3 = _mm256_sub_pd(a1, a3);
-    const __m256d t3w = _mm256_xor_pd(_mm256_permute_pd(t3, 0x5), rot);
-    cstore2(out + k, _mm256_add_pd(t0, t2));
-    cstore2(out + 2 * m + k, _mm256_sub_pd(t0, t2));
-    cstore2(out + m + k, _mm256_add_pd(t1, t3w));
-    cstore2(out + 3 * m + k, _mm256_sub_pd(t1, t3w));
+  if (lanes == 1) {
+    std::size_t k = 0;
+    for (; k + 2 <= m; k += 2) {
+      bf4_pair(out, m, k, cload2(tw + m + k), cload2(tw + 2 * m + k),
+               cload2(tw + 3 * m + k), rot);
+    }
+    for (; k < m; ++k) {
+      bf4_one(out, m, k, tw[m + k], tw[2 * m + k], tw[3 * m + k], forward);
+    }
+    return;
   }
-  for (; k < m; ++k) {
-    const Complex a0 = out[k];
-    const Complex a1 = out[m + k] * tw[m + k];
-    const Complex a2 = out[2 * m + k] * tw[2 * m + k];
-    const Complex a3 = out[3 * m + k] * tw[3 * m + k];
-    const Complex t0 = a0 + a2;
-    const Complex t1 = a0 - a2;
-    const Complex t2 = a1 + a3;
-    const Complex t3 = a1 - a3;
-    const Complex t3w = forward ? Complex(t3.imag(), -t3.real())
-                                : Complex(-t3.imag(), t3.real());
-    out[k] = t0 + t2;
-    out[2 * m + k] = t0 - t2;
-    out[m + k] = t1 + t3w;
-    out[3 * m + k] = t1 - t3w;
+  const std::size_t step = m * lanes;
+  for (std::size_t k = 0; k < m; ++k) {
+    const __m256d w1 = cbcast2(tw + m + k);
+    const __m256d w2 = cbcast2(tw + 2 * m + k);
+    const __m256d w3 = cbcast2(tw + 3 * m + k);
+    std::size_t e = k * lanes;
+    const std::size_t end = e + lanes;
+    for (; e + 2 <= end; e += 2) bf4_pair(out, step, e, w1, w2, w3, rot);
+    if (e < end) {
+      bf4_one(out, step, e, tw[m + k], tw[2 * m + k], tw[3 * m + k], forward);
+    }
   }
 }
 
 void bfr_avx2(Complex* out, const Complex* tw, const double* wr, int r,
-              std::size_t m) {
+              std::size_t m, std::size_t lanes) {
   const int h = (r - 1) / 2;
   const std::size_t row = odd_radix_row(r);
   const double* cs = wr;
   const double* sn = wr + 2 * static_cast<std::size_t>(h) * row;
-  if (m == 1) {
-    bfr_leaf_avx2(out, cs, sn, r, h, row);
+  if (lanes == 1) {
+    if (m == 1) {
+      bfr_leaf_avx2(out, cs, sn, r, h, row);
+      return;
+    }
+    std::size_t k = 0;
+    for (; k + 2 <= m; k += 2) {
+      const auto twiddle = [&](int j) {
+        return cload2(tw + static_cast<std::size_t>(j) * m + k);
+      };
+      bfr_pair(out + k, m, m, twiddle, cs, sn, r, h, row);
+    }
+    if (k < m) bfr_column_scalar(out, tw, wr, r, m, 1, k, 0);
     return;
   }
-  // m >= 2: two columns (k, k+1) per register, constants broadcast.
-  const __m256d neg_re = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
-  __m256d s[kMaxDirectRadix / 2 + 1];
-  __m256d d[kMaxDirectRadix / 2 + 1];
-  std::size_t k = 0;
-  for (; k + 2 <= m; k += 2) {
-    const __m256d t0 = cload2(out + k);
-    __m256d sum = t0;
-    for (int j = 1; j <= h; ++j) {
-      const std::size_t ja = static_cast<std::size_t>(j) * m + k;
-      const std::size_t jb = static_cast<std::size_t>(r - j) * m + k;
-      const __m256d a = cmul2(cload2(out + ja), cload2(tw + ja));
-      const __m256d b = cmul2(cload2(out + jb), cload2(tw + jb));
-      s[j] = _mm256_add_pd(a, b);
-      d[j] = _mm256_sub_pd(a, b);
-      sum = _mm256_add_pd(sum, s[j]);
+  const std::size_t step = m * lanes;
+  for (std::size_t k = 0; k < m; ++k) {
+    const auto twiddle = [&](int j) {
+      return cbcast2(tw + static_cast<std::size_t>(j) * m + k);
+    };
+    std::size_t b = 0;
+    for (; b + 2 <= lanes; b += 2) {
+      bfr_pair(out + k * lanes + b, step, m, twiddle, cs, sn, r, h, row);
     }
-    cstore2(out + k, sum);
-    for (int q = 1; q <= h; ++q) {
-      const double* c = cs + 2 * static_cast<std::size_t>(q - 1);
-      const double* w = sn + 2 * static_cast<std::size_t>(q - 1);
-      __m256d acc_a = t0;
-      __m256d acc_b = _mm256_mul_pd(
-          _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w)), d[1]);
-      for (int j = 1; j <= h; ++j) {
-        const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
-        acc_a = _mm256_add_pd(
-            acc_a,
-            _mm256_mul_pd(
-                _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(c + at)),
-                s[j]));
-      }
-      for (int j = 2; j <= h; ++j) {
-        const std::size_t at = 2 * static_cast<std::size_t>(j - 1) * row;
-        acc_b = _mm256_add_pd(
-            acc_b,
-            _mm256_mul_pd(
-                _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(w + at)),
-                d[j]));
-      }
-      const __m256d ib = _mm256_xor_pd(_mm256_permute_pd(acc_b, 0x5), neg_re);
-      cstore2(out + static_cast<std::size_t>(q) * m + k,
-              _mm256_add_pd(acc_a, ib));
-      cstore2(out + static_cast<std::size_t>(r - q) * m + k,
-              _mm256_sub_pd(acc_a, ib));
-    }
-  }
-  if (k < m) bfr_column_scalar(out, tw, wr, r, m, k);
-}
-
-void transpose_avx2(const Complex* in, Complex* out, std::size_t rows,
-                    std::size_t cols) {
-  // Same 32x32 blocking as the scalar reference; inside a block, 2x2 tiles
-  // of complexes move through permute2f128 (pure lane moves, trivially
-  // bit-exact).
-  constexpr std::size_t kBlock = 32;
-  for (std::size_t rb = 0; rb < rows; rb += kBlock) {
-    const std::size_t rend = std::min(rows, rb + kBlock);
-    for (std::size_t cb = 0; cb < cols; cb += kBlock) {
-      const std::size_t cend = std::min(cols, cb + kBlock);
-      std::size_t r = rb;
-      for (; r + 2 <= rend; r += 2) {
-        std::size_t c = cb;
-        for (; c + 2 <= cend; c += 2) {
-          const __m256d a = cload2(in + r * cols + c);        // r:(c, c+1)
-          const __m256d b = cload2(in + (r + 1) * cols + c);  // r+1:(c, c+1)
-          cstore2(out + c * rows + r, _mm256_permute2f128_pd(a, b, 0x20));
-          cstore2(out + (c + 1) * rows + r, _mm256_permute2f128_pd(a, b, 0x31));
-        }
-        for (; c < cend; ++c) {
-          out[c * rows + r] = in[r * cols + c];
-          out[c * rows + r + 1] = in[(r + 1) * cols + c];
-        }
-      }
-      for (; r < rend; ++r) {
-        for (std::size_t c = cb; c < cend; ++c) {
-          out[c * rows + r] = in[r * cols + c];
-        }
-      }
-    }
+    if (b < lanes) bfr_column_scalar(out, tw, wr, r, m, lanes, k, b);
   }
 }
 
@@ -312,19 +363,17 @@ void c2r_retangle_avx2(const Complex* in, const Complex* tw, Complex* z,
 
 namespace hs::fft::codelets::detail {
 
-void bf2_avx2(Complex* out, const Complex* tw, std::size_t m) {
-  bf2_scalar(out, tw, m);
+void bf2_avx2(Complex* out, const Complex* tw, std::size_t m,
+              std::size_t lanes) {
+  bf2_scalar(out, tw, m, lanes);
 }
-void bf4_avx2(Complex* out, const Complex* tw, std::size_t m, bool forward) {
-  bf4_scalar(out, tw, m, forward);
+void bf4_avx2(Complex* out, const Complex* tw, std::size_t m,
+              bool forward, std::size_t lanes) {
+  bf4_scalar(out, tw, m, forward, lanes);
 }
 void bfr_avx2(Complex* out, const Complex* tw, const double* wr, int r,
-              std::size_t m) {
-  bfr_scalar(out, tw, wr, r, m);
-}
-void transpose_avx2(const Complex* in, Complex* out, std::size_t rows,
-                    std::size_t cols) {
-  transpose_scalar(in, out, rows, cols);
+              std::size_t m, std::size_t lanes) {
+  bfr_scalar(out, tw, wr, r, m, lanes);
 }
 void r2c_untangle_avx2(const Complex* zf, const Complex* tw, Complex* out,
                        std::size_t h) {

@@ -48,49 +48,66 @@ inline __m128d cconj(__m128d a) { return _mm_xor_pd(a, _mm_set_pd(-0.0, 0.0)); }
 
 }  // namespace
 
-void bf2_sse2(Complex* out, const Complex* tw, std::size_t m) {
+void bf2_sse2(Complex* out, const Complex* tw, std::size_t m,
+              std::size_t lanes) {
+  const std::size_t step = m * lanes;
   for (std::size_t k = 0; k < m; ++k) {
-    const __m128d a = cload(out + k);
-    const __m128d b = cmul(cload(out + m + k), cload(tw + m + k));
-    cstore(out + k, _mm_add_pd(a, b));
-    cstore(out + m + k, _mm_sub_pd(a, b));
+    const __m128d w = cload(tw + m + k);
+    for (std::size_t e = k * lanes; e < (k + 1) * lanes; ++e) {
+      const __m128d a = cload(out + e);
+      const __m128d b = cmul(cload(out + step + e), w);
+      cstore(out + e, _mm_add_pd(a, b));
+      cstore(out + step + e, _mm_sub_pd(a, b));
+    }
   }
 }
 
-void bf4_sse2(Complex* out, const Complex* tw, std::size_t m, bool forward) {
+void bf4_sse2(Complex* out, const Complex* tw, std::size_t m,
+              bool forward, std::size_t lanes) {
   // forward: t3w = (t3.im, -t3.re); inverse: t3w = (-t3.im, t3.re).
   const __m128d rot = forward ? _mm_set_pd(-0.0, 0.0) : _mm_set_pd(0.0, -0.0);
+  const std::size_t step = m * lanes;
   for (std::size_t k = 0; k < m; ++k) {
-    const __m128d a0 = cload(out + k);
-    const __m128d a1 = cmul(cload(out + m + k), cload(tw + m + k));
-    const __m128d a2 = cmul(cload(out + 2 * m + k), cload(tw + 2 * m + k));
-    const __m128d a3 = cmul(cload(out + 3 * m + k), cload(tw + 3 * m + k));
-    const __m128d t0 = _mm_add_pd(a0, a2);
-    const __m128d t1 = _mm_sub_pd(a0, a2);
-    const __m128d t2 = _mm_add_pd(a1, a3);
-    const __m128d t3 = _mm_sub_pd(a1, a3);
-    const __m128d t3w = _mm_xor_pd(_mm_shuffle_pd(t3, t3, 0x1), rot);
-    cstore(out + k, _mm_add_pd(t0, t2));
-    cstore(out + 2 * m + k, _mm_sub_pd(t0, t2));
-    cstore(out + m + k, _mm_add_pd(t1, t3w));
-    cstore(out + 3 * m + k, _mm_sub_pd(t1, t3w));
+    const __m128d w1 = cload(tw + m + k);
+    const __m128d w2 = cload(tw + 2 * m + k);
+    const __m128d w3 = cload(tw + 3 * m + k);
+    for (std::size_t e = k * lanes; e < (k + 1) * lanes; ++e) {
+      const __m128d a0 = cload(out + e);
+      const __m128d a1 = cmul(cload(out + step + e), w1);
+      const __m128d a2 = cmul(cload(out + 2 * step + e), w2);
+      const __m128d a3 = cmul(cload(out + 3 * step + e), w3);
+      const __m128d t0 = _mm_add_pd(a0, a2);
+      const __m128d t1 = _mm_sub_pd(a0, a2);
+      const __m128d t2 = _mm_add_pd(a1, a3);
+      const __m128d t3 = _mm_sub_pd(a1, a3);
+      const __m128d t3w = _mm_xor_pd(_mm_shuffle_pd(t3, t3, 0x1), rot);
+      cstore(out + e, _mm_add_pd(t0, t2));
+      cstore(out + 2 * step + e, _mm_sub_pd(t0, t2));
+      cstore(out + step + e, _mm_add_pd(t1, t3w));
+      cstore(out + 3 * step + e, _mm_sub_pd(t1, t3w));
+    }
   }
 }
 
 void bfr_sse2(Complex* out, const Complex* tw, const double* wr, int r,
-              std::size_t m) {
+              std::size_t m, std::size_t lanes) {
   const int h = (r - 1) / 2;
   const std::size_t row = odd_radix_row(r);
   const double* cs = wr;
   const double* sn = wr + 2 * static_cast<std::size_t>(h) * row;
   const __m128d neg_re = _mm_set_pd(0.0, -0.0);
+  const std::size_t step = m * lanes;
   __m128d s[kMaxDirectRadix / 2 + 1];
   __m128d d[kMaxDirectRadix / 2 + 1];
-  for (std::size_t k = 0; k < m; ++k) {
-    const __m128d t0 = cload(out + k);
+  for (std::size_t e = 0; e < step; ++e) {
+    // Column k = e / lanes; element j of this column is col[j * step].
+    const std::size_t k = e / lanes;
+    Complex* col = out + e;
+    const __m128d t0 = cload(col);
     const auto input = [&](int j) {
-      const std::size_t at = static_cast<std::size_t>(j) * m + k;
-      return m == 1 ? cload(out + at) : cmul(cload(out + at), cload(tw + at));
+      const auto ju = static_cast<std::size_t>(j);
+      return m == 1 ? cload(col + ju * step)
+                    : cmul(cload(col + ju * step), cload(tw + ju * m + k));
     };
     __m128d sum = t0;
     for (int j = 1; j <= h; ++j) {
@@ -100,7 +117,7 @@ void bfr_sse2(Complex* out, const Complex* tw, const double* wr, int r,
       d[j] = _mm_sub_pd(a, b);
       sum = _mm_add_pd(sum, s[j]);
     }
-    cstore(out + k, sum);
+    cstore(col, sum);
     for (int q = 1; q <= h; ++q) {
       const double* c = cs + 2 * static_cast<std::size_t>(q - 1);
       const double* w = sn + 2 * static_cast<std::size_t>(q - 1);
@@ -117,8 +134,8 @@ void bfr_sse2(Complex* out, const Complex* tw, const double* wr, int r,
       // i*B = (-B.im, B.re): out[q] = A + iB, out[r-q] = A - iB.
       const __m128d ib =
           _mm_xor_pd(_mm_shuffle_pd(acc_b, acc_b, 0x1), neg_re);
-      cstore(out + static_cast<std::size_t>(q) * m + k, _mm_add_pd(acc_a, ib));
-      cstore(out + static_cast<std::size_t>(r - q) * m + k,
+      cstore(col + static_cast<std::size_t>(q) * step, _mm_add_pd(acc_a, ib));
+      cstore(col + static_cast<std::size_t>(r - q) * step,
              _mm_sub_pd(acc_a, ib));
     }
   }
@@ -155,15 +172,17 @@ void c2r_retangle_sse2(const Complex* in, const Complex* tw, Complex* z,
 
 namespace hs::fft::codelets::detail {
 
-void bf2_sse2(Complex* out, const Complex* tw, std::size_t m) {
-  bf2_scalar(out, tw, m);
+void bf2_sse2(Complex* out, const Complex* tw, std::size_t m,
+              std::size_t lanes) {
+  bf2_scalar(out, tw, m, lanes);
 }
-void bf4_sse2(Complex* out, const Complex* tw, std::size_t m, bool forward) {
-  bf4_scalar(out, tw, m, forward);
+void bf4_sse2(Complex* out, const Complex* tw, std::size_t m,
+              bool forward, std::size_t lanes) {
+  bf4_scalar(out, tw, m, forward, lanes);
 }
 void bfr_sse2(Complex* out, const Complex* tw, const double* wr, int r,
-              std::size_t m) {
-  bfr_scalar(out, tw, wr, r, m);
+              std::size_t m, std::size_t lanes) {
+  bfr_scalar(out, tw, wr, r, m, lanes);
 }
 void r2c_untangle_sse2(const Complex* zf, const Complex* tw, Complex* out,
                        std::size_t h) {

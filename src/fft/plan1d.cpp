@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <numbers>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "fft/codelets.hpp"
+#include "fft/scratch.hpp"
 #include "fft/wisdom.hpp"
 
 namespace hs::fft {
@@ -18,45 +20,6 @@ namespace hs::fft {
 namespace {
 
 std::atomic<std::uint64_t> g_1d{0}, g_2d{0}, g_blue{0};
-
-// ---------------------------------------------------------------------------
-// Thread-local scratch arena with stack discipline. FFT executions may nest
-// (a 2-D plan holds a lease while running strided 1-D passes; Bluestein runs
-// inner power-of-two plans), so leases bump an offset and restore it on
-// destruction.
-// ---------------------------------------------------------------------------
-struct ScratchArena {
-  std::vector<Complex> storage;
-  std::size_t offset = 0;
-};
-
-ScratchArena& tls_arena() {
-  thread_local ScratchArena arena;
-  return arena;
-}
-
-class ScratchLease {
- public:
-  explicit ScratchLease(std::size_t count) : arena_(tls_arena()) {
-    base_ = arena_.offset;
-    if (arena_.storage.size() < base_ + count) {
-      arena_.storage.resize(base_ + count);
-    }
-    arena_.offset = base_ + count;
-    // resize may reallocate; take the pointer only after growth.
-    ptr_ = arena_.storage.data() + base_;
-  }
-  ~ScratchLease() { arena_.offset = base_; }
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
-
-  Complex* get() { return ptr_; }
-
- private:
-  ScratchArena& arena_;
-  std::size_t base_;
-  Complex* ptr_;
-};
 
 std::vector<int> prime_factors(std::size_t n) {
   std::vector<int> factors;
@@ -127,30 +90,53 @@ struct SmoothPlan {
 
   void run(const Complex* in, std::size_t stride, Complex* out,
            std::size_t depth) const {
+    run_lanes(in, stride, 0, 1, out, depth);
+  }
+
+  // Runs `lanes` transforms at once: element i of lane b is read from
+  // in[i*stride + b*dist], and output element k of lane b lands at
+  // out[k*lanes + b]. Every lane runs run()'s operation sequence on its own
+  // elements; the butterfly codelets share each column's twiddles across
+  // lanes and vectorize across them.
+  void run_lanes(const Complex* in, std::size_t stride, std::size_t dist,
+                 std::size_t lanes, Complex* out, std::size_t depth) const {
     const std::size_t sub = subsize[depth];
     if (sub == 1) {
-      out[0] = in[0];
+      for (std::size_t b = 0; b < lanes; ++b) out[b] = in[b * dist];
       return;
     }
     const int r = factors[depth];
     const std::size_t m = sub / static_cast<std::size_t>(r);
     for (int j = 0; j < r; ++j) {
-      run(in + static_cast<std::size_t>(j) * stride,
-          stride * static_cast<std::size_t>(r),
-          out + static_cast<std::size_t>(j) * m, depth + 1);
+      const auto ju = static_cast<std::size_t>(j);
+      if (m == 1) {
+        // Leaf children are single-element copies; inline them.
+        for (std::size_t b = 0; b < lanes; ++b) {
+          out[ju * lanes + b] = in[ju * stride + b * dist];
+        }
+      } else {
+        run_lanes(in + ju * stride, stride * static_cast<std::size_t>(r), dist,
+                  lanes, out + ju * m * lanes, depth + 1);
+      }
     }
     // Butterfly bodies live in fft/codelets.cpp (and its SIMD siblings);
     // every tier's codelet is bit-identical to the scalar reference, so the
     // tier choice affects speed only.
     const Complex* tw = level_tw[depth].data();
     if (r == 2) {
-      cod->bf2(out, tw, m);
+      cod->bf2(out, tw, m, lanes);
     } else if (r == 4) {
-      cod->bf4(out, tw, m, dir == Direction::kForward);
+      cod->bf4(out, tw, m, dir == Direction::kForward, lanes);
     } else {
-      cod->bfr(out, tw, radix_tw[depth].data(), r, m);
+      cod->bfr(out, tw, radix_tw[depth].data(), r, m, lanes);
     }
   }
+
+  // Strided batch (the 2-D column pass): blocks of up to detail::kLaneBlock
+  // transforms run together through run_lanes() straight from the source
+  // into thread-local scratch, and their spectra are scattered back.
+  void run_blocks(std::size_t howmany, const Complex* in, Complex* out,
+                  std::size_t stride, std::size_t dist) const;
 };
 
 // Candidate factor orderings explored by the planner.
@@ -214,8 +200,51 @@ void reset_stats() {
   g_blue.store(0, std::memory_order_relaxed);
 }
 
+// ---------------------------------------------------------------------------
+// Thread-local scratch arena behind detail::ScratchLease (fft/scratch.hpp).
+// ---------------------------------------------------------------------------
+namespace {
+
+struct ScratchArena {
+  std::unique_ptr<Complex[]> storage;
+  std::size_t capacity = 0;
+  std::size_t offset = 0;
+  // Blocks outgrown while an outer lease still pointed into them; freed when
+  // the outermost lease returns.
+  std::vector<std::unique_ptr<Complex[]>> retired;
+};
+
+ScratchArena& tls_arena() {
+  thread_local ScratchArena arena;
+  return arena;
+}
+
+}  // namespace
+
 namespace detail {
-void count_1d() { g_1d.fetch_add(1, std::memory_order_relaxed); }
+
+ScratchLease::ScratchLease(std::size_t count) {
+  ScratchArena& arena = tls_arena();
+  base_ = arena.offset;
+  if (arena.capacity < base_ + count) {
+    if (base_ > 0) arena.retired.push_back(std::move(arena.storage));
+    arena.capacity = base_ + count;
+    arena.storage = std::make_unique<Complex[]>(arena.capacity);
+  }
+  arena.offset = base_ + count;
+  ptr_ = arena.storage.get() + base_;
+}
+
+ScratchLease::~ScratchLease() {
+  ScratchArena& arena = tls_arena();
+  arena.offset = base_;
+  if (base_ == 0) arena.retired.clear();
+}
+
+}  // namespace detail
+
+namespace detail {
+void count_1d(std::uint64_t n) { g_1d.fetch_add(n, std::memory_order_relaxed); }
 void count_2d() { g_2d.fetch_add(1, std::memory_order_relaxed); }
 void count_bluestein() { g_blue.fetch_add(1, std::memory_order_relaxed); }
 }  // namespace detail
@@ -238,6 +267,26 @@ std::size_t next_smooth(std::size_t n) {
   };
   while (!is_7_smooth(n)) ++n;
   return n;
+}
+
+void SmoothPlan::run_blocks(std::size_t howmany, const Complex* in,
+                            Complex* out, std::size_t stride,
+                            std::size_t dist) const {
+  const std::size_t block = std::min(howmany, detail::kLaneBlock);
+  detail::ScratchLease lease(block * n);
+  Complex* spectra = lease.get();  // [i * nb + b]: bin i of transform b
+  for (std::size_t t0 = 0; t0 < howmany; t0 += block) {
+    const std::size_t nb = std::min(block, howmany - t0);
+    // The block's input is fully read before its first output is written,
+    // so in == out is safe.
+    run_lanes(in + t0 * dist, stride, dist, nb, spectra, 0);
+    Complex* dst = out + t0 * dist;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t b = 0; b < nb; ++b) {
+        dst[b * dist + i * stride] = spectra[i * nb + b];
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -279,7 +328,7 @@ struct BluesteinState {
 
   void run(const Complex* in, std::size_t stride, Complex* out,
            std::size_t out_stride) const {
-    ScratchLease lease(2 * m);
+    detail::ScratchLease lease(2 * m);
     Complex* a = lease.get();
     Complex* work = a + m;
     for (std::size_t k = 0; k < n; ++k) a[k] = in[k * stride] * chirp[k];
@@ -398,49 +447,34 @@ Plan1d& Plan1d::operator=(Plan1d&&) noexcept = default;
 
 void Plan1d::execute(const Complex* in, Complex* out) const {
   HS_ASSERT(in != out);
-  detail::count_1d();
-  if (impl_->bluestein) {
-    impl_->blue->run(in, 1, out, 1);
-  } else {
-    impl_->smooth.run(in, 1, out, 0);
-  }
+  execute_many(1, in, out, 1, 0);
 }
 
 void Plan1d::execute_inplace(Complex* data) const {
-  detail::count_1d();
-  if (impl_->bluestein) {
-    impl_->blue->run(data, 1, data, 1);
-    return;
-  }
-  ScratchLease lease(impl_->n);
-  Complex* scratch = lease.get();
-  std::copy(data, data + impl_->n, scratch);
-  impl_->smooth.run(scratch, 1, data, 0);
+  execute_many(1, data, data, 1, 0);
 }
 
-void Plan1d::execute_strided(const Complex* in, std::size_t in_stride,
-                             Complex* out, std::size_t out_stride) const {
-  detail::count_1d();
-  if (impl_->bluestein) {
-    impl_->blue->run(in, in_stride, out, out_stride);
-    return;
-  }
-  if (out_stride == 1 && (in != out || in_stride != 1)) {
-    // The recursive kernel reads strided input natively.
-    if (in == out) {
-      ScratchLease lease(impl_->n);
-      Complex* scratch = lease.get();
-      for (std::size_t i = 0; i < impl_->n; ++i) scratch[i] = in[i * in_stride];
-      impl_->smooth.run(scratch, 1, out, 0);
-    } else {
-      impl_->smooth.run(in, in_stride, out, 0);
+void Plan1d::execute_many(std::size_t howmany, const Complex* in,
+                          Complex* out, std::size_t stride,
+                          std::size_t dist) const {
+  detail::count_1d(howmany);
+  const Impl& p = *impl_;
+  if (p.bluestein) {
+    // The chirp loops gather and scatter at any stride, and buffer the whole
+    // input before writing, so in-place is safe.
+    for (std::size_t t = 0; t < howmany; ++t) {
+      p.blue->run(in + t * dist, stride, out + t * dist, stride);
     }
     return;
   }
-  ScratchLease lease(impl_->n);
-  Complex* scratch = lease.get();
-  impl_->smooth.run(in, in_stride, scratch, 0);
-  for (std::size_t i = 0; i < impl_->n; ++i) out[i * out_stride] = scratch[i];
+  if (howmany == 1 && stride == 1 && in != out) {
+    p.smooth.run(in, 1, out, 0);
+    return;
+  }
+  // Everything else, rows included, runs in lane blocks: batching adjacent
+  // transforms vectorizes the small-m butterflies that a single transform
+  // leaves to scalar tails, and the scatter makes in-place safe.
+  p.smooth.run_blocks(howmany, in, out, stride, dist);
 }
 
 std::size_t Plan1d::size() const { return impl_->n; }

@@ -14,7 +14,8 @@
 //     to small-prime sizes profitable (paper SVI, future work).
 //
 // Plans are immutable after construction and safe to execute concurrently
-// from many threads; per-thread scratch is drawn from a thread_local arena.
+// from many threads; per-thread scratch is drawn from a thread_local arena
+// (fft/scratch.hpp).
 #pragma once
 
 #include <memory>
@@ -52,10 +53,19 @@ class Plan1d {
   /// In-place transform (uses scratch internally).
   void execute_inplace(Complex* data) const;
 
-  /// Strided out-of-place transform: element i is read from in[i*in_stride]
-  /// and written to out[i*out_stride]. Used by 2-D column passes.
-  void execute_strided(const Complex* in, std::size_t in_stride, Complex* out,
-                       std::size_t out_stride) const;
+  /// Batched strided transform, FFTW's advanced interface (howmany, stride,
+  /// dist) with one layout for input and output: transform t in
+  /// [0, howmany) reads element i from in[t*dist + i*stride] and writes it
+  /// to out[t*dist + i*stride]. `in == out` transforms in place; otherwise
+  /// the two must not overlap. Transforms run in blocks of up to 8 lanes
+  /// whose butterflies share each column's twiddle, read straight from `in`
+  /// into thread-local scratch and scattered back, so no transpose and no
+  /// per-call allocation is needed. Each lane runs execute()'s operation
+  /// sequence, so results are bit-identical to executing the transforms one
+  /// by one on gathered copies. 2-D plans run their column passes as
+  /// (w, in, out, w, 1) and complex row passes as (h, in, out, 1, w).
+  void execute_many(std::size_t howmany, const Complex* in, Complex* out,
+                    std::size_t stride, std::size_t dist) const;
 
   std::size_t size() const;
   Direction direction() const;

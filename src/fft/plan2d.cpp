@@ -1,18 +1,9 @@
 #include "fft/plan2d.hpp"
 
-#include <vector>
-
 #include "common/error.hpp"
-#include "fft/codelets.hpp"
+#include "fft/scratch.hpp"
 
 namespace hs::fft {
-
-void transpose(const Complex* in, Complex* out, std::size_t rows,
-               std::size_t cols) {
-  // Free-function form dispatches per call; plans capture their codelet set
-  // once at construction instead.
-  codelets::active_set().transpose(in, out, rows, cols);
-}
 
 Plan2d::Plan2d(std::size_t height, std::size_t width, Direction dir,
                Rigor rigor)
@@ -20,129 +11,75 @@ Plan2d::Plan2d(std::size_t height, std::size_t width, Direction dir,
       w_(width),
       dir_(dir),
       row_(width, dir, rigor),
-      col_(height, dir, rigor),
-      cod_(&codelets::set_for(common::active_tier())) {
+      col_(height, dir, rigor) {
   HS_REQUIRE(height >= 1 && width >= 1, "2-D FFT dimensions must be positive");
-}
-
-common::SimdTier Plan2d::simd_tier() const { return cod_->tier; }
-
-void Plan2d::run(const Complex* in, Complex* out) const {
-  // Row pass at unit stride.
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(in + r * w_, out + r * w_);
-  }
-  // Column pass: transpose, transform rows of the transposed array at unit
-  // stride, transpose back.
-  std::vector<Complex> scratch(h_ * w_);
-  cod_->transpose(out, scratch.data(), h_, w_);
-  for (std::size_t c = 0; c < w_; ++c) {
-    col_.execute_inplace(scratch.data() + c * h_);
-  }
-  cod_->transpose(scratch.data(), out, w_, h_);
-  detail::count_2d();
 }
 
 void Plan2d::execute(const Complex* in, Complex* out) const {
   HS_ASSERT(in != out);
-  run(in, out);
+  row_.execute_many(h_, in, out, 1, w_);
+  col_.execute_many(w_, out, out, w_, 1);
+  detail::count_2d();
 }
 
 void Plan2d::execute_inplace(Complex* data) const {
-  // The row pass would read rows it has already overwritten only if in and
-  // out alias row-by-row, which is exactly the in-place case: each row
-  // transform is out-of-place per row, so route rows through execute_inplace.
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute_inplace(data + r * w_);
-  }
-  std::vector<Complex> scratch(h_ * w_);
-  cod_->transpose(data, scratch.data(), h_, w_);
-  for (std::size_t c = 0; c < w_; ++c) {
-    col_.execute_inplace(scratch.data() + c * h_);
-  }
-  cod_->transpose(scratch.data(), data, w_, h_);
+  row_.execute_many(h_, data, data, 1, w_);
+  col_.execute_many(w_, data, data, w_, 1);
   detail::count_2d();
 }
 
 PlanR2c2d::PlanR2c2d(std::size_t height, std::size_t width, Rigor rigor)
     : h_(height), w_(width), row_(width, rigor),
-      col_(height, Direction::kForward, rigor),
-      cod_(&codelets::set_for(common::active_tier())) {
+      col_(height, Direction::kForward, rigor) {
   HS_REQUIRE(height >= 1, "2-D FFT dimensions must be positive");
 }
 
-common::SimdTier PlanR2c2d::simd_tier() const { return cod_->tier; }
-
 void PlanR2c2d::execute(const double* in, Complex* out) const {
   const std::size_t sw = spectrum_width();
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(in + r * w_, out + r * sw);
-  }
+  row_.execute_many(h_, in, w_, out, sw);
   // Full complex FFT down each of the sw retained columns.
-  std::vector<Complex> scratch(h_ * sw);
-  cod_->transpose(out, scratch.data(), h_, sw);
-  for (std::size_t c = 0; c < sw; ++c) {
-    col_.execute_inplace(scratch.data() + c * h_);
-  }
-  cod_->transpose(scratch.data(), out, sw, h_);
+  col_.execute_many(sw, out, out, sw, 1);
   detail::count_2d();
 }
 
 void PlanR2c2d::execute_inplace_padded(Complex* data) const {
   const std::size_t sw = spectrum_width();
   // Row r's reals start at double offset r*2*sw — the same memory its half
-  // spectrum occupies, so each row transform is an exact-overlap execute.
+  // spectrum occupies; execute_many buffers each block of rows before
+  // writing it, so the overlap is safe.
   const double* reals = reinterpret_cast<const double*>(data);
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(reals + r * 2 * sw, data + r * sw);
-  }
-  std::vector<Complex> scratch(h_ * sw);
-  cod_->transpose(data, scratch.data(), h_, sw);
-  for (std::size_t c = 0; c < sw; ++c) {
-    col_.execute_inplace(scratch.data() + c * h_);
-  }
-  cod_->transpose(scratch.data(), data, sw, h_);
+  row_.execute_many(h_, reals, 2 * sw, data, sw);
+  col_.execute_many(sw, data, data, sw, 1);
   detail::count_2d();
 }
 
 PlanC2r2d::PlanC2r2d(std::size_t height, std::size_t width, Rigor rigor)
     : h_(height), w_(width), row_(width, rigor),
-      col_(height, Direction::kInverse, rigor),
-      cod_(&codelets::set_for(common::active_tier())) {
+      col_(height, Direction::kInverse, rigor) {
   HS_REQUIRE(height >= 1, "2-D FFT dimensions must be positive");
 }
-
-common::SimdTier PlanC2r2d::simd_tier() const { return cod_->tier; }
 
 void PlanC2r2d::execute(const Complex* in, double* out) const {
   const std::size_t sw = spectrum_width();
   // Inverse column pass first (undoing the forward order), then row c2r.
-  std::vector<Complex> scratch(h_ * sw), cols(h_ * sw);
-  cod_->transpose(in, cols.data(), h_, sw);
-  for (std::size_t c = 0; c < sw; ++c) {
-    col_.execute_inplace(cols.data() + c * h_);
-  }
-  cod_->transpose(cols.data(), scratch.data(), sw, h_);
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(scratch.data() + r * sw, out + r * w_);
-  }
+  // `in` is const and `out` is 2h doubles short of the half spectrum, so
+  // the column spectra stage in a thread-local lease.
+  detail::ScratchLease lease(h_ * sw);
+  Complex* cols = lease.get();
+  col_.execute_many(sw, in, cols, sw, 1);
+  row_.execute_many(h_, cols, sw, out, w_);
   detail::count_2d();
 }
 
 void PlanC2r2d::execute_inplace_half(Complex* data) const {
   const std::size_t sw = spectrum_width();
-  std::vector<Complex> scratch(h_ * sw), cols(h_ * sw);
-  cod_->transpose(data, cols.data(), h_, sw);
-  for (std::size_t c = 0; c < sw; ++c) {
-    col_.execute_inplace(cols.data() + c * h_);
-  }
-  cod_->transpose(cols.data(), scratch.data(), sw, h_);
-  // Input is fully in scratch now; pack the real rows contiguously into the
-  // front of the buffer.
+  col_.execute_many(sw, data, data, sw, 1);
+  // Pack the real rows contiguously into the front of the buffer, top row
+  // first: row r's w doubles end at or before row r+1's spectrum starts
+  // (r*w + w <= 2*(r+1)*sw), and execute_many buffers each block of rows
+  // before writing it, so only rows already consumed are overwritten.
   double* out = reinterpret_cast<double*>(data);
-  for (std::size_t r = 0; r < h_; ++r) {
-    row_.execute(scratch.data() + r * sw, out + r * w_);
-  }
+  row_.execute_many(h_, data, sw, out, w_);
   detail::count_2d();
 }
 

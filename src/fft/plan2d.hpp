@@ -2,8 +2,17 @@
 //
 // The complex plan is the workhorse of the stitching algorithm: every tile's
 // forward transform and every pair's inverse NCC transform is a Plan2d
-// execution (paper Table I: 3nm-n-m transforms for an n x m grid). Columns
-// are processed via blocked transposes so both passes run at unit stride.
+// execution (paper Table I: 3nm-n-m transforms for an n x m grid).
+//
+// Both passes run through Plan1d::execute_many, the batched strided entry
+// (FFTW's howmany/stride/dist): rows at unit stride, columns at stride
+// width in blocks of adjacent columns that are gathered into a small
+// thread-local buffer, transformed and scattered back, so the array is
+// never transposed. No execute allocates once its thread has run the shape
+// (scratch comes from the fft/scratch.hpp arena, never from the plan, since
+// PlanCache shares one const plan among all threads). Every column runs the
+// same operation sequence as a 1-D execute of that column, so spectra are
+// bit-identical to a column-by-column reference on every codelet tier.
 #pragma once
 
 #include <cstddef>
@@ -14,10 +23,6 @@
 #include "fft/types.hpp"
 
 namespace hs::fft {
-
-namespace codelets {
-struct Set;
-}
 
 class Plan2d {
  public:
@@ -38,23 +43,16 @@ class Plan2d {
   std::size_t count() const { return h_ * w_; }
   Direction direction() const { return dir_; }
 
-  /// The transpose codelet tier captured at plan time (row/column 1-D plans
-  /// carry their own tiers via Plan1d::simd_tier()).
-  common::SimdTier simd_tier() const;
-
   /// The butterfly codelet tier of the embedded row 1-D plan (columns
   /// resolve identically: both plans were built under the same dispatch).
-  common::SimdTier fft_tier() const { return row_.simd_tier(); }
+  common::SimdTier simd_tier() const { return row_.simd_tier(); }
 
  private:
-  void run(const Complex* in, Complex* out) const;
-
   std::size_t h_;
   std::size_t w_;
   Direction dir_;
   Plan1d row_;
   Plan1d col_;
-  const codelets::Set* cod_;
 };
 
 /// Forward real-to-complex 2-D transform: h x w reals in, h x (w/2+1)
@@ -71,26 +69,24 @@ class PlanR2c2d {
   /// r * 2 * spectrum_width() (i.e. each real row is stored at the start of
   /// its own spectrum row, FFTW style); on exit the buffer holds the
   /// height() x spectrum_width() half spectrum. Safe because each row's
-  /// output occupies exactly its own input region and PlanR2c1d buffers its
-  /// input before writing.
+  /// output occupies exactly its own input region and
+  /// PlanR2c1d::execute_many buffers each block of rows before writing it.
   void execute_inplace_padded(Complex* data) const;
 
   std::size_t height() const { return h_; }
   std::size_t width() const { return w_; }
   std::size_t spectrum_width() const { return w_ / 2 + 1; }
   std::size_t spectrum_count() const { return h_ * spectrum_width(); }
-  common::SimdTier simd_tier() const;
 
   /// Butterfly codelet tier of the embedded column 1-D plan (the row r2c
   /// plans resolve identically under the same dispatch).
-  common::SimdTier fft_tier() const { return col_.simd_tier(); }
+  common::SimdTier simd_tier() const { return col_.simd_tier(); }
 
  private:
   std::size_t h_;
   std::size_t w_;
   PlanR2c1d row_;
   Plan1d col_;
-  const codelets::Set* cod_;
 };
 
 /// Inverse of PlanR2c2d (unnormalized: round trip scales by h*w).
@@ -104,30 +100,25 @@ class PlanC2r2d {
   /// In-place for device buffers: `data` holds the height() x
   /// spectrum_width() half spectrum; on exit the same buffer holds
   /// height()*width() packed doubles (the real inverse image). Safe because
-  /// the input is transposed into scratch before any output is written.
+  /// the column pass finishes first and each packed real row ends before
+  /// the next spectrum row begins (PlanC2r1d::execute_many buffers each
+  /// block of rows before writing it).
   void execute_inplace_half(Complex* data) const;
 
   std::size_t height() const { return h_; }
   std::size_t width() const { return w_; }
   std::size_t spectrum_width() const { return w_ / 2 + 1; }
   std::size_t spectrum_count() const { return h_ * spectrum_width(); }
-  common::SimdTier simd_tier() const;
 
   /// Butterfly codelet tier of the embedded column 1-D plan (the row c2r
   /// plans resolve identically under the same dispatch).
-  common::SimdTier fft_tier() const { return col_.simd_tier(); }
+  common::SimdTier simd_tier() const { return col_.simd_tier(); }
 
  private:
   std::size_t h_;
   std::size_t w_;
   PlanC2r1d row_;
   Plan1d col_;
-  const codelets::Set* cod_;
 };
-
-/// Blocked out-of-place transpose: `in` is rows x cols, `out` becomes
-/// cols x rows. Exposed for reuse by kernels and tests.
-void transpose(const Complex* in, Complex* out, std::size_t rows,
-               std::size_t cols);
 
 }  // namespace hs::fft

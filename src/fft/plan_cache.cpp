@@ -48,11 +48,6 @@ void note_fft_dispatch(common::SimdTier tier) {
   note_dispatch("fft", last, tier);
 }
 
-void note_transpose_dispatch(common::SimdTier tier) {
-  static std::atomic<int> last{-1};
-  note_dispatch("transpose", last, tier);
-}
-
 // The active tier joins every cache key: plans built under a forced narrow
 // dispatch must not be served to (or poison) lookups made under a wider one.
 int active_tier_key() { return static_cast<int>(common::active_tier()); }
@@ -149,8 +144,7 @@ std::shared_ptr<const Plan2d> PlanCache::plan_2d(std::size_t height,
     HS_METRIC_TIMER(m.build_us);
     plan = std::make_shared<const Plan2d>(height, width, dir, rigor);
   }
-  note_transpose_dispatch(plan->simd_tier());
-  note_fft_dispatch(plan->fft_tier());
+  note_fft_dispatch(plan->simd_tier());
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto [it, inserted] = impl_->plans_2d.emplace(key, std::move(plan));
   return it->second;
@@ -177,8 +171,7 @@ std::shared_ptr<const PlanR2c2d> PlanCache::plan_r2c_2d(std::size_t height,
     HS_METRIC_TIMER(m.build_us);
     plan = std::make_shared<const PlanR2c2d>(height, width, rigor);
   }
-  note_transpose_dispatch(plan->simd_tier());
-  note_fft_dispatch(plan->fft_tier());
+  note_fft_dispatch(plan->simd_tier());
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto [it, inserted] = impl_->plans_r2c_2d.emplace(key, std::move(plan));
   return it->second;
@@ -205,8 +198,7 @@ std::shared_ptr<const PlanC2r2d> PlanCache::plan_c2r_2d(std::size_t height,
     HS_METRIC_TIMER(m.build_us);
     plan = std::make_shared<const PlanC2r2d>(height, width, rigor);
   }
-  note_transpose_dispatch(plan->simd_tier());
-  note_fft_dispatch(plan->fft_tier());
+  note_fft_dispatch(plan->simd_tier());
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto [it, inserted] = impl_->plans_c2r_2d.emplace(key, std::move(plan));
   return it->second;

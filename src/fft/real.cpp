@@ -1,5 +1,6 @@
 #include "fft/real.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -8,6 +9,7 @@
 #include "common/error.hpp"
 #include "fft/codelets.hpp"
 #include "fft/plan2d.hpp"
+#include "fft/scratch.hpp"
 
 namespace hs::fft {
 
@@ -43,28 +45,48 @@ PlanR2c1d::PlanR2c1d(std::size_t n, Rigor rigor)
 common::SimdTier PlanR2c1d::simd_tier() const { return cod_->tier; }
 
 void PlanR2c1d::execute(const double* in, Complex* out) const {
-  if (!uses_packing()) {
-    // Odd-length fallback: widen to complex, full transform, keep the half
-    // spectrum. All input is read before any output is written, so in/out
-    // may overlap.
-    std::vector<Complex> z(n_), zf(n_);
-    for (std::size_t j = 0; j < n_; ++j) z[j] = Complex(in[j], 0.0);
-    inner_.execute(z.data(), zf.data());
-    for (std::size_t k = 0; k <= n_ / 2; ++k) out[k] = zf[k];
-    return;
+  execute_many(1, in, 0, out, 0);
+}
+
+void PlanR2c1d::execute_many(std::size_t howmany, const double* in,
+                             std::size_t in_dist, Complex* out,
+                             std::size_t out_dist) const {
+  const bool packed = uses_packing();
+  const std::size_t len = inner_.size();  // n/2 packed, n for odd n
+  const std::size_t block = std::min(howmany, detail::kLaneBlock);
+  detail::ScratchLease lease(2 * block * len);
+  Complex* z = lease.get();
+  Complex* zf = z + block * len;
+  for (std::size_t t0 = 0; t0 < howmany; t0 += block) {
+    const std::size_t nb = std::min(block, howmany - t0);
+    // Every input of the block is buffered before any output is written.
+    for (std::size_t b = 0; b < nb; ++b) {
+      const double* row = in + (t0 + b) * in_dist;
+      Complex* zb = z + b * len;
+      if (packed) {
+        // (even, odd) interleaved pairs are exactly the memory layout of a
+        // complex array, so packing evens/odds is a straight copy.
+        std::memcpy(reinterpret_cast<double*>(zb), row,
+                    2 * len * sizeof(double));
+      } else {
+        // Odd-length fallback: widen to complex for a full transform.
+        for (std::size_t j = 0; j < len; ++j) zb[j] = Complex(row[j], 0.0);
+      }
+    }
+    inner_.execute_many(nb, z, zf, 1, len);
+    for (std::size_t b = 0; b < nb; ++b) {
+      const Complex* zfb = zf + b * len;
+      Complex* o = out + (t0 + b) * out_dist;
+      if (packed) {
+        // Untangle: E[k] = spectrum of evens, O[k] = spectrum of odds.
+        cod_->r2c_untangle(zfb, twiddle_.data(), o, len);
+        // Nyquist bin: X[n/2] = E[0] - O[0], purely real.
+        o[len] = Complex(zfb[0].real() - zfb[0].imag(), 0.0);
+      } else {
+        std::copy(zfb, zfb + n_ / 2 + 1, o);
+      }
+    }
   }
-  const std::size_t h = n_ / 2;
-  // Pack evens/odds into a complex signal and transform once at half length.
-  // (even, odd) interleaved pairs are exactly the memory layout of a complex
-  // array, so the packing is a straight copy.
-  std::vector<Complex> z(h), zf(h);
-  std::memcpy(reinterpret_cast<double*>(z.data()), in,
-              2 * h * sizeof(double));
-  inner_.execute(z.data(), zf.data());
-  // Untangle: E[k] = spectrum of evens, O[k] = spectrum of odds.
-  cod_->r2c_untangle(zf.data(), twiddle_.data(), out, h);
-  // Nyquist bin: X[n/2] = E[0] - O[0], purely real.
-  out[h] = Complex(zf[0].real() - zf[0].imag(), 0.0);
 }
 
 PlanC2r1d::PlanC2r1d(std::size_t n, Rigor rigor)
@@ -76,28 +98,50 @@ PlanC2r1d::PlanC2r1d(std::size_t n, Rigor rigor)
 common::SimdTier PlanC2r1d::simd_tier() const { return cod_->tier; }
 
 void PlanC2r1d::execute(const Complex* in, double* out) const {
-  if (!uses_packing()) {
-    // Odd-length fallback: rebuild the full spectrum from the half via the
-    // conjugate mirror, inverse transform (unnormalized, matching the even
-    // path's round-trip-by-n convention), keep the real parts.
-    std::vector<Complex> z(n_), zt(n_);
-    for (std::size_t k = 0; k <= n_ / 2; ++k) z[k] = in[k];
-    for (std::size_t k = n_ / 2 + 1; k < n_; ++k) {
-      z[k] = std::conj(in[n_ - k]);
+  execute_many(1, in, 0, out, 0);
+}
+
+void PlanC2r1d::execute_many(std::size_t howmany, const Complex* in,
+                             std::size_t in_dist, double* out,
+                             std::size_t out_dist) const {
+  const bool packed = uses_packing();
+  const std::size_t len = inner_.size();  // n/2 packed, n for odd n
+  const std::size_t block = std::min(howmany, detail::kLaneBlock);
+  detail::ScratchLease lease(2 * block * len);
+  Complex* z = lease.get();
+  Complex* zt = z + block * len;
+  for (std::size_t t0 = 0; t0 < howmany; t0 += block) {
+    const std::size_t nb = std::min(block, howmany - t0);
+    // Every input of the block is buffered before any output is written.
+    for (std::size_t b = 0; b < nb; ++b) {
+      const Complex* src = in + (t0 + b) * in_dist;
+      Complex* zb = z + b * len;
+      if (packed) {
+        // Retangle the half spectrum; the missing factor 1/2 in E and O
+        // makes the round trip scale by n, matching FFTW's unnormalized c2r.
+        cod_->c2r_retangle(src, twiddle_.data(), zb, len);
+      } else {
+        // Odd-length fallback: rebuild the full spectrum from the half via
+        // the conjugate mirror (unnormalized, like the even path).
+        for (std::size_t k = 0; k <= n_ / 2; ++k) zb[k] = src[k];
+        for (std::size_t k = n_ / 2 + 1; k < n_; ++k) {
+          zb[k] = std::conj(src[n_ - k]);
+        }
+      }
     }
-    inner_.execute(z.data(), zt.data());
-    for (std::size_t j = 0; j < n_; ++j) out[j] = zt[j].real();
-    return;
+    inner_.execute_many(nb, z, zt, 1, len);
+    for (std::size_t b = 0; b < nb; ++b) {
+      const Complex* ztb = zt + b * len;
+      double* o = out + (t0 + b) * out_dist;
+      if (packed) {
+        // (real, imag) pairs are the interleaved (even, odd) output layout.
+        std::memcpy(o, reinterpret_cast<const double*>(ztb),
+                    2 * len * sizeof(double));
+      } else {
+        for (std::size_t j = 0; j < n_; ++j) o[j] = ztb[j].real();
+      }
+    }
   }
-  const std::size_t h = n_ / 2;
-  std::vector<Complex> z(h), zt(h);
-  // Retangle the half spectrum; the missing factor 1/2 in E and O makes the
-  // overall round trip scale by n, matching FFTW's unnormalized c2r.
-  cod_->c2r_retangle(in, twiddle_.data(), z.data(), h);
-  inner_.execute(z.data(), zt.data());
-  // (real, imag) pairs are the interleaved (even, odd) output layout.
-  std::memcpy(out, reinterpret_cast<const double*>(zt.data()),
-              2 * h * sizeof(double));
 }
 
 void fft_two_reals(const Plan1d& forward_plan, const double* a,

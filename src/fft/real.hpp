@@ -37,6 +37,15 @@ class PlanR2c1d {
   /// the padded in-place 2-D layout relies on.
   void execute(const double* in, Complex* out) const;
 
+  /// Batched rows (the 2-D row pass): transform t reads n reals at
+  /// in + t*in_dist and writes n/2+1 bins at out + t*out_dist. Rows run in
+  /// blocks whose inputs are all buffered before any of their outputs is
+  /// written, so a row's output may overlap its own or an earlier row's
+  /// input. Bit-identical to executing the rows one by one.
+  void execute_many(std::size_t howmany, const double* in,
+                    std::size_t in_dist, Complex* out,
+                    std::size_t out_dist) const;
+
   std::size_t size() const { return n_; }
   std::size_t spectrum_size() const { return n_ / 2 + 1; }
   /// True when the even/odd half-length packing applies (even n); odd n runs
@@ -60,6 +69,13 @@ class PlanC2r1d {
   /// `in` holds n/2+1 half-spectrum bins; `out` receives n reals. `in` and
   /// `out` may overlap (input is buffered before output is written).
   void execute(const Complex* in, double* out) const;
+
+  /// Batched rows, the counterpart of PlanR2c1d::execute_many: transform t
+  /// reads n/2+1 bins at in + t*in_dist and writes n reals at
+  /// out + t*out_dist, with the same block-buffered overlap rule.
+  void execute_many(std::size_t howmany, const Complex* in,
+                    std::size_t in_dist, double* out,
+                    std::size_t out_dist) const;
 
   std::size_t size() const { return n_; }
   bool uses_packing() const { return n_ % 2 == 0; }

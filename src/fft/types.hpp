@@ -44,7 +44,7 @@ Stats stats();
 void reset_stats();
 
 namespace detail {
-void count_1d();
+void count_1d(std::uint64_t n = 1);
 void count_2d();
 void count_bluestein();
 }  // namespace detail

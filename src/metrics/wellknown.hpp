@@ -29,8 +29,8 @@ inline constexpr const char* kBackends[] = {"naive-pairwise", "simple-cpu",
 // SIMD dispatch vocabularies (kept in sync with common::SimdTier and the
 // codelet families in fft/codelets.hpp + vgpu/kernels.hpp).
 inline constexpr const char* kSimdTiers[] = {"scalar", "sse2", "avx2"};
-inline constexpr const char* kKernelFamilies[] = {"fft", "transpose", "ncc",
-                                                  "max_abs", "u16_convert"};
+inline constexpr const char* kKernelFamilies[] = {"fft", "ncc", "max_abs",
+                                                  "u16_convert"};
 
 // --- fft ---
 Counter& plan_cache_hits(const std::string& rigor);

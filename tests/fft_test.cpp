@@ -8,9 +8,11 @@
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "fft/dft_ref.hpp"
 #include "fft/plan1d.hpp"
 #include "fft/plan2d.hpp"
@@ -107,7 +109,7 @@ TEST_P(Fft1dSizes, StridedGatherScatterMatches) {
   Plan1d fwd(n, Direction::kForward);
   std::vector<Complex> expected(n), out(n * stride, Complex(0.0, 0.0));
   fwd.execute(x.data(), expected.data());
-  fwd.execute_strided(strided.data(), stride, out.data(), stride);
+  fwd.execute_many(1, strided.data(), out.data(), stride, 0);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_LT(std::abs(out[i * stride] - expected[i]), 1e-12) << "i=" << i;
   }
@@ -563,15 +565,144 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape2d{32, 48}, Shape2d{7, 97}, Shape2d{97, 6},
                       Shape2d{6, 1392}, Shape2d{6, 1040}));
 
-TEST(Transpose, RoundTripIsIdentity) {
-  const std::size_t rows = 37, cols = 53;
-  const auto x = random_signal(rows * cols, 31);
-  std::vector<Complex> t(rows * cols), back(rows * cols);
-  transpose(x.data(), t.data(), rows, cols);
-  transpose(t.data(), back.data(), cols, rows);
-  EXPECT_LT(max_error(back, x), 0.0 + 1e-15);
-  // Spot-check the actual transposition.
-  EXPECT_EQ(t[5 * rows + 7], x[7 * cols + 5]);
+// --- batched column pass bit-identity ---------------------------------------
+
+// Column c of an h x stride row-major array, transformed by a plain 1-D
+// execute on a gathered copy and scattered back: the reference every 2-D
+// column pass must match bit for bit.
+void reference_columns(const Plan1d& plan, Complex* data, std::size_t h,
+                       std::size_t cols, std::size_t stride) {
+  std::vector<Complex> col(h), spec(h);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t r = 0; r < h; ++r) col[r] = data[r * stride + c];
+    plan.execute(col.data(), spec.data());
+    for (std::size_t r = 0; r < h; ++r) data[r * stride + c] = spec[r];
+  }
+}
+
+template <class T>
+void expect_bits_equal(const std::vector<T>& want, const std::vector<T>& got,
+                       const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::real(want[i]), std::real(got[i])) << what << " i=" << i;
+    EXPECT_EQ(std::imag(want[i]), std::imag(got[i])) << what << " i=" << i;
+  }
+}
+
+class BatchedColumnPass : public ::testing::TestWithParam<Shape2d> {};
+
+// All six 2-D entry points against row-by-row / column-by-column 1-D
+// references, on every forced codelet tier. Shapes cover a width that is
+// not a multiple of the column block, 1 x N and N x 1, an odd spectrum
+// width, a Bluestein column height (37 > kMaxDirectRadix) and the serve-mix
+// tile.
+TEST_P(BatchedColumnPass, AllEntryPointsMatchColumnByColumnReference) {
+  const auto [h, w] = GetParam();
+  const std::size_t sw = w / 2 + 1;
+  const auto x = random_signal(h * w, h * 4099 + w);
+  const auto xr = random_reals(h * w, h * 6007 + w);
+  for (const auto tier :
+       {common::KernelDispatch::kScalar, common::KernelDispatch::kSse2,
+        common::KernelDispatch::kAvx2}) {
+    common::ScopedKernelDispatch forced(tier);
+    for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+      // c2c: rows, then columns, through plain 1-D executes.
+      std::vector<Complex> want(h * w);
+      const Plan1d row(w, dir), col(h, dir);
+      for (std::size_t r = 0; r < h; ++r) {
+        row.execute(x.data() + r * w, want.data() + r * w);
+      }
+      reference_columns(col, want.data(), h, w, w);
+      const Plan2d plan(h, w, dir);
+      std::vector<Complex> got(h * w);
+      plan.execute(x.data(), got.data());
+      expect_bits_equal(want, got, "Plan2d::execute");
+      got = x;
+      plan.execute_inplace(got.data());
+      expect_bits_equal(want, got, "Plan2d::execute_inplace");
+    }
+    // r2c: row r2c transforms, then complex columns.
+    const PlanR2c1d row_r2c(w);
+    const Plan1d col_fwd(h, Direction::kForward);
+    std::vector<Complex> half(h * sw);
+    for (std::size_t r = 0; r < h; ++r) {
+      row_r2c.execute(xr.data() + r * w, half.data() + r * sw);
+    }
+    reference_columns(col_fwd, half.data(), h, sw, sw);
+    const PlanR2c2d r2c(h, w);
+    std::vector<Complex> got_half(h * sw);
+    r2c.execute(xr.data(), got_half.data());
+    expect_bits_equal(half, got_half, "PlanR2c2d::execute");
+    std::vector<Complex> padded(h * sw);
+    for (std::size_t r = 0; r < h; ++r) {
+      std::copy(xr.data() + r * w, xr.data() + (r + 1) * w,
+                reinterpret_cast<double*>(padded.data()) + r * 2 * sw);
+    }
+    r2c.execute_inplace_padded(padded.data());
+    expect_bits_equal(half, padded, "PlanR2c2d::execute_inplace_padded");
+    // c2r: complex inverse columns, then row c2r transforms.
+    const PlanC2r1d row_c2r(w);
+    const Plan1d col_inv(h, Direction::kInverse);
+    std::vector<Complex> cols = half;
+    reference_columns(col_inv, cols.data(), h, sw, sw);
+    std::vector<double> back(h * w);
+    for (std::size_t r = 0; r < h; ++r) {
+      row_c2r.execute(cols.data() + r * sw, back.data() + r * w);
+    }
+    const PlanC2r2d c2r(h, w);
+    std::vector<double> got_back(h * w);
+    c2r.execute(half.data(), got_back.data());
+    expect_bits_equal(back, got_back, "PlanC2r2d::execute");
+    std::vector<Complex> inplace = half;
+    c2r.execute_inplace_half(inplace.data());
+    const double* packed = reinterpret_cast<const double*>(inplace.data());
+    expect_bits_equal(back, std::vector<double>(packed, packed + h * w),
+                      "PlanC2r2d::execute_inplace_half");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BatchedColumnPass,
+    ::testing::Values(Shape2d{12, 29}, Shape2d{1, 24}, Shape2d{24, 1},
+                      Shape2d{9, 16}, Shape2d{37, 20}, Shape2d{260, 348}));
+
+// PlanCache shares one const plan among all workers, and the 2-D passes
+// draw their scratch from per-thread leases: four threads running the same
+// plans at once must each reproduce the single-thread bytes.
+TEST(BatchedColumnPass, SharedPlanConcurrentExecutesMatchSingleThread) {
+  const std::size_t h = 60, w = 87, sw = w / 2 + 1, threads = 4;
+  PlanCache cache;
+  const auto c2c = cache.plan_2d(h, w, Direction::kForward);
+  const auto r2c = cache.plan_r2c_2d(h, w);
+  const auto c2r = cache.plan_c2r_2d(h, w);
+  std::vector<std::vector<Complex>> in(threads), full(threads), half(threads);
+  std::vector<std::vector<double>> reals(threads), back(threads);
+  for (std::size_t t = 0; t < threads; ++t) {
+    in[t] = random_signal(h * w, 500 + t);
+    reals[t] = random_reals(h * w, 700 + t);
+  }
+  const auto run = [&](std::size_t t) {
+    full[t].assign(h * w, Complex(0.0, 0.0));
+    half[t].assign(h * sw, Complex(0.0, 0.0));
+    back[t].assign(h * w, 0.0);
+    for (int rep = 0; rep < 20; ++rep) {
+      c2c->execute(in[t].data(), full[t].data());
+      r2c->execute(reals[t].data(), half[t].data());
+      c2r->execute(half[t].data(), back[t].data());
+    }
+  };
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(run, t);
+  for (auto& th : pool) th.join();
+  const auto full_mt = full, half_mt = half;
+  const auto back_mt = back;
+  for (std::size_t t = 0; t < threads; ++t) {
+    run(t);
+    expect_bits_equal(full[t], full_mt[t], "c2c");
+    expect_bits_equal(half[t], half_mt[t], "r2c");
+    expect_bits_equal(back[t], back_mt[t], "c2r");
+  }
 }
 
 // --- plan cache --------------------------------------------------------------
