@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "fft/codelets.hpp"
 #include "fft/dft_ref.hpp"
 #include "fft/plan1d.hpp"
 #include "fft/plan2d.hpp"
@@ -587,6 +588,58 @@ void expect_bits_equal(const std::vector<T>& want, const std::vector<T>& got,
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(std::real(want[i]), std::real(got[i])) << what << " i=" << i;
     EXPECT_EQ(std::imag(want[i]), std::imag(got[i])) << what << " i=" << i;
+  }
+}
+
+// Every butterfly run over `lanes` interleaved transforms, on every tier,
+// must give each lane exactly what the single-transform scalar call gives
+// that lane's elements alone. Odd lane counts exercise the vector tails.
+TEST(BatchedColumnPass, LaneButterfliesMatchSingleTransformScalar) {
+  const auto& scalar = codelets::scalar_set();
+  for (const auto tier : {common::SimdTier::kScalar, common::SimdTier::kSse2,
+                          common::SimdTier::kAvx2}) {
+    const auto& set = codelets::set_for(tier);
+    for (int r = 2; r <= kMaxDirectRadix; r = (r == 2 ? 3 : r + 2)) {
+      const std::vector<double> wr =
+          r == 2 ? std::vector<double>{}
+                 : codelets::odd_radix_table(r, Direction::kForward);
+      for (const int radix : r == 2 ? std::vector<int>{2, 4}
+                                    : std::vector<int>{r}) {
+        for (std::size_t m = 1; m <= 3; ++m) {
+          const std::size_t n = static_cast<std::size_t>(radix) * m;
+          const auto tw = random_signal(n, 99 * n + m);
+          for (std::size_t lanes = 1; lanes <= 5; ++lanes) {
+            const auto data = random_signal(n * lanes, n * 31 + lanes);
+            std::vector<Complex> got = data;
+            const auto apply = [&](const codelets::Set& s, Complex* out,
+                                   std::size_t l) {
+              if (radix == 2) {
+                s.bf2(out, tw.data(), m, l);
+              } else if (radix == 4) {
+                s.bf4(out, tw.data(), m, true, l);
+              } else {
+                s.bfr(out, tw.data(), wr.data(), radix, m, l);
+              }
+            };
+            apply(set, got.data(), lanes);
+            for (std::size_t b = 0; b < lanes; ++b) {
+              std::vector<Complex> one(n);
+              for (std::size_t i = 0; i < n; ++i) one[i] = data[i * lanes + b];
+              apply(scalar, one.data(), 1);
+              for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(one[i].real(), got[i * lanes + b].real())
+                    << "radix " << radix << " m " << m << " lanes " << lanes
+                    << " lane " << b << " i " << i << " tier "
+                    << common::tier_name(tier);
+                ASSERT_EQ(one[i].imag(), got[i * lanes + b].imag())
+                    << "radix " << radix << " m " << m << " lanes " << lanes
+                    << " lane " << b << " i " << i;
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }
 
